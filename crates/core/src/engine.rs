@@ -22,7 +22,7 @@ use std::time::Instant;
 use hsq_storage::{corruption_in, is_transient, BlockCache, BlockDevice, FileId, Item};
 
 use crate::config::HsqConfig;
-use crate::query::{QueryContext, QueryOutcome};
+use crate::query::{QueryContext, QueryOutcome, RankProbeSource, ShardView};
 use crate::stream::{StreamProcessor, StreamSummary};
 use crate::warehouse::{PinGuard, StoredPartition, UpdateReport, Warehouse};
 
@@ -298,22 +298,58 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
         self.warehouse.io_barrier()
     }
 
-    fn context(
-        &self,
-    ) -> (
-        crate::stream::StreamSummary<T>,
-        Vec<&crate::warehouse::StoredPartition<T>>,
-    ) {
+    /// A query context over the live state — the whole readable union, or
+    /// the newest `window` steps (`None` on misalignment). Partitions are
+    /// borrowed from the warehouse, not pinned or cloned; quarantined
+    /// (confirmed-corrupt) ones are excluded and every outcome's rank
+    /// bounds widen by the quarantined mass instead.
+    fn context<'q>(
+        &'q self,
+        stream: &'q StreamSummary<T>,
+        window: Option<u64>,
+    ) -> Option<QueryContext<'q, T, D>> {
         // Queries read partition blocks: settle any writes a deferred
         // step left in flight. Errors are not lost — a failed write
         // resurfaces when the probe touches the affected run.
         let _ = self.warehouse.io_barrier();
-        // Quarantined (confirmed-corrupt) partitions are excluded; the
-        // outcome's rank bounds widen by their mass instead.
-        (
-            self.stream.summary(),
-            self.warehouse.healthy_partitions_newest_first(),
+        let parts = match window {
+            None => self.warehouse.healthy_partitions_newest_first(),
+            Some(w) => self
+                .warehouse
+                .window_partitions(w)?
+                .into_iter()
+                .filter(|p| !self.warehouse.is_quarantined(p.run.file()))
+                .collect(),
+        };
+        Some(
+            QueryContext::new(
+                &**self.warehouse.device(),
+                parts,
+                stream,
+                self.config.query_epsilon(),
+                self.config.cache_blocks,
+            )
+            .with_parallel(self.config.parallel_query)
+            .with_prefetch(self.warehouse.scheduler().map(|s| &**s))
+            .with_degraded(self.warehouse.quarantined_mass()),
         )
+    }
+
+    /// Run `f` over [`Self::context`] behind the strict-mode gate and the
+    /// self-healing recovery loop; `Ok(None)` on a misaligned window.
+    fn query<R>(
+        &self,
+        window: Option<u64>,
+        f: impl Fn(&QueryContext<'_, T, D>) -> io::Result<Option<R>>,
+    ) -> io::Result<Option<R>> {
+        self.strict_check()?;
+        self.with_recovery(|| {
+            let ss = self.stream.summary();
+            match self.context(&ss, window) {
+                Some(ctx) => f(&ctx),
+                None => Ok(None),
+            }
+        })
     }
 
     /// Strict-mode gate: refuse to answer over quarantined data.
@@ -369,49 +405,16 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
     /// both candidate half-probes of each next step through the
     /// warehouse's scheduler (see [`QueryContext::with_prefetch`]).
     pub fn rank_query(&self, r: u64) -> io::Result<Option<QueryOutcome<T>>> {
-        self.strict_check()?;
-        self.with_recovery(|| {
-            let (ss, parts) = self.context();
-            let ctx = QueryContext::new(
-                &**self.warehouse.device(),
-                parts,
-                &ss,
-                self.config.query_epsilon(),
-                self.config.cache_blocks,
-            )
-            .with_parallel(self.config.parallel_query)
-            .with_prefetch(self.warehouse.scheduler().map(|s| &**s))
-            .with_degraded(self.warehouse.quarantined_mass());
-            ctx.accurate_rank(r)
-        })
+        self.query(None, |ctx| ctx.accurate_rank(r))
     }
 
     /// Batch of φ-quantiles sharing one stream-summary extraction and one
     /// combined-summary build: cheaper than separate [`Self::quantile`]
     /// calls when reporting e.g. p50/p95/p99 together.
     pub fn quantiles(&self, phis: &[f64]) -> io::Result<Vec<Option<T>>> {
-        self.strict_check()?;
         let n = self.total_len();
-        self.with_recovery(|| {
-            let (ss, parts) = self.context();
-            let ctx = QueryContext::new(
-                &**self.warehouse.device(),
-                parts,
-                &ss,
-                self.config.query_epsilon(),
-                self.config.cache_blocks,
-            )
-            .with_parallel(self.config.parallel_query)
-            .with_prefetch(self.warehouse.scheduler().map(|s| &**s))
-            .with_degraded(self.warehouse.quarantined_mass());
-            phis.iter()
-                .map(|&phi| {
-                    assert!(phi > 0.0 && phi <= 1.0, "phi must be in (0, 1]");
-                    let r = (phi * n as f64).ceil() as u64;
-                    Ok(ctx.accurate_rank(r)?.map(|o| o.value))
-                })
-                .collect()
-        })
+        let qs = self.query(None, |ctx| ctx.quantiles(phis, n).map(Some))?;
+        Ok(qs.unwrap_or_default())
     }
 
     /// An immutable, self-contained view of everything ingested so far:
@@ -512,15 +515,8 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
 
     /// Quick rank query (Algorithm 5).
     pub fn rank_query_quick(&self, r: u64) -> Option<T> {
-        let (ss, parts) = self.context();
-        let ctx = QueryContext::new(
-            &**self.warehouse.device(),
-            parts,
-            &ss,
-            self.config.query_epsilon(),
-            self.config.cache_blocks,
-        );
-        ctx.quick_rank(r)
+        let ss = self.stream.summary();
+        self.context(&ss, None)?.quick_rank(r)
     }
 
     /// Window sizes (archived time steps) available for exact window
@@ -529,75 +525,24 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
         self.warehouse.available_windows()
     }
 
-    /// Accurate φ-quantile over the union of the live stream and the last
-    /// `window_steps` archived steps. `Ok(None)` if the window does not
+    /// Accurate φ-quantile over the live stream plus the newest
+    /// `window_steps` *retained* steps. `Ok(None)` if the window does not
     /// align with partition boundaries (§2.4: windowed queries are
     /// supported "if the window sizes are aligned with the partition
-    /// boundaries").
-    pub fn quantile_window(&self, phi: f64, window_steps: u64) -> io::Result<Option<T>> {
-        assert!(phi > 0.0 && phi <= 1.0, "phi must be in (0, 1]");
-        Ok(self
-            .window_query(window_steps, |ctx, window_n| {
-                let r = (phi * (window_n + self.stream_len()) as f64).ceil() as u64;
-                ctx.accurate_rank(r)
-            })?
-            .map(|o| o.value))
-    }
-
-    /// Rank query over a window, with cost reporting.
-    pub fn rank_query_window(
-        &self,
-        r: u64,
-        window_steps: u64,
-    ) -> io::Result<Option<QueryOutcome<T>>> {
-        self.window_query(window_steps, |ctx, _| ctx.accurate_rank(r))
-    }
-
-    /// Shared window-query driver: resolve the window's partitions, drop
-    /// quarantined ones (widening the outcome by the full quarantined
-    /// mass — conservative but sound for any window), and run `f` under
-    /// the self-healing recovery loop.
-    fn window_query<R>(
-        &self,
-        window_steps: u64,
-        f: impl Fn(&QueryContext<'_, T, D>, u64) -> io::Result<Option<R>>,
-    ) -> io::Result<Option<R>> {
-        self.strict_check()?;
-        self.warehouse.io_barrier()?;
-        self.with_recovery(|| {
-            let Some(mut parts) = self.warehouse.window_partitions(window_steps) else {
-                return Ok(None);
-            };
-            parts.retain(|p| !self.warehouse.is_quarantined(p.run.file()));
-            let window_n: u64 = parts.iter().map(|p| p.run.len()).sum();
-            let ss = self.stream.summary();
-            let ctx = QueryContext::new(
-                &**self.warehouse.device(),
-                parts,
-                &ss,
-                self.config.query_epsilon(),
-                self.config.cache_blocks,
-            )
-            .with_prefetch(self.warehouse.scheduler().map(|s| &**s))
-            .with_degraded(self.warehouse.quarantined_mass());
-            f(&ctx, window_n)
-        })
-    }
-
-    /// First-class windowed quantile: the φ-quantile over the live stream
-    /// plus the newest `window_steps` *retained* steps. Equivalent to
-    /// [`HistStreamQuantiles::quantile_window`] with window-first argument
-    /// order; with retention enabled (see [`crate::retention`]) this is
-    /// the "p99 over the last 24h" query shape — the window can cover at
-    /// most the retained horizon.
+    /// boundaries"). With retention enabled (see [`crate::retention`])
+    /// this is the "p99 over the last 24h" query shape — the window can
+    /// cover at most the retained horizon. Quarantined partitions are
+    /// dropped and the outcome widens by the full quarantined mass
+    /// (conservative but sound for any window).
     pub fn quantile_in_window(&self, window_steps: u64, phi: f64) -> io::Result<Option<T>> {
-        self.quantile_window(phi, window_steps)
+        assert!(phi > 0.0 && phi <= 1.0, "phi must be in (0, 1]");
+        self.query(Some(window_steps), |ctx| ctx.quantile(phi))
     }
 
-    /// First-class windowed rank query (window-first argument order; see
+    /// Accurate rank query over a window, with cost reporting (see
     /// [`HistStreamQuantiles::quantile_in_window`]).
     pub fn rank_in_window(&self, window_steps: u64, r: u64) -> io::Result<Option<QueryOutcome<T>>> {
-        self.rank_query_window(r, window_steps)
+        self.query(Some(window_steps), |ctx| ctx.accurate_rank(r))
     }
 
     /// One rate-limited self-healing pass over the warehouse: repair
@@ -699,7 +644,7 @@ impl<T: Item, D: BlockDevice> EngineSnapshot<T, D> {
     }
 
     /// The pinned partitions that are NOT quarantined.
-    fn healthy(&self) -> Vec<&StoredPartition<T>> {
+    pub(crate) fn healthy(&self) -> Vec<&StoredPartition<T>> {
         self.parts
             .iter()
             .filter(|(_, p)| !self.is_quarantined(p.run.file()))
@@ -712,29 +657,30 @@ impl<T: Item, D: BlockDevice> EngineSnapshot<T, D> {
         &self.stream
     }
 
-    /// The configured decoded-block cache budget (blocks per query).
-    pub(crate) fn cache_blocks(&self) -> usize {
-        self.cache_blocks
+    /// This snapshot's readable data restricted to `partitions`, as one
+    /// shard of a query context.
+    pub(crate) fn view<'s>(
+        &'s self,
+        partitions: Vec<&'s StoredPartition<T>>,
+    ) -> ShardView<'s, T, D> {
+        ShardView {
+            dev: &*self.dev,
+            partitions,
+            stream: &self.stream,
+            sched: self.sched.as_deref(),
+        }
     }
 
     /// Per-source rank-bound views (partitions + stream), the inputs a
     /// cross-shard [`crate::bounds::CombinedSummary`] is assembled from.
     pub fn sources(&self) -> Vec<crate::bounds::SourceView<T>> {
-        let mut out: Vec<crate::bounds::SourceView<T>> = self
-            .healthy()
-            .into_iter()
-            .map(|p| crate::bounds::SourceView::from_partition(&p.summary))
-            .collect();
-        out.push(crate::bounds::SourceView::from_stream(&self.stream));
-        out
+        self.view(self.healthy()).sources()
     }
 
     /// One decoded-block cache per (healthy) partition, splitting the
     /// configured budget — reuse across probes of one logical query.
     pub fn new_caches(&self) -> Vec<BlockCache<T>> {
-        let healthy = self.healthy();
-        let per = (self.cache_blocks / healthy.len().max(1)).max(2);
-        healthy.iter().map(|_| BlockCache::new(per)).collect()
+        self.view(self.healthy()).new_caches(self.cache_blocks)
     }
 
     /// Rigorous bounds on `rank(z, T)` at snapshot time: exact disk ranks
@@ -743,23 +689,41 @@ impl<T: Item, D: BlockDevice> EngineSnapshot<T, D> {
     /// quarantined mass, since every unreadable item could be ≤ `z`.
     /// `caches` must come from [`EngineSnapshot::new_caches`].
     pub fn rank_bounds(&self, z: T, caches: &mut [BlockCache<T>]) -> io::Result<(u64, u64)> {
-        let parts = self.healthy();
-        let (lo, hi) =
-            crate::query::union_rank_bounds(&*self.dev, &parts, &self.stream, z, caches)?;
+        let (lo, hi) = self
+            .view(self.healthy())
+            .probes(caches, false, None)
+            .probe(z)?;
         Ok((lo, hi + self.quarantined_mass()))
     }
 
-    fn context(&self) -> QueryContext<'_, T, D> {
-        QueryContext::new(
-            &*self.dev,
-            self.healthy(),
-            &self.stream,
-            self.epsilon,
-            self.cache_blocks,
+    /// A query context over the whole readable snapshot, or over the
+    /// newest `window` pinned steps (`None` on misalignment).
+    fn context(&self, window: Option<u64>) -> Option<QueryContext<'_, T, D>> {
+        let parts = match window {
+            None => self.healthy(),
+            Some(w) => self
+                .window_partitions(w)?
+                .into_iter()
+                .filter(|p| !self.is_quarantined(p.run.file()))
+                .collect(),
+        };
+        Some(
+            QueryContext::new(
+                &*self.dev,
+                parts,
+                &self.stream,
+                self.epsilon,
+                self.cache_blocks,
+            )
+            .with_parallel(self.parallel)
+            .with_prefetch(self.sched.as_deref())
+            .with_degraded(self.quarantined_mass()),
         )
-        .with_parallel(self.parallel)
-        .with_prefetch(self.sched.as_deref())
-        .with_degraded(self.quarantined_mass())
+    }
+
+    fn full_context(&self) -> QueryContext<'_, T, D> {
+        self.context(None)
+            .expect("the full union is always aligned")
     }
 
     /// Accurate φ-quantile over the snapshot (Theorem 2 at snapshot time).
@@ -771,27 +735,19 @@ impl<T: Item, D: BlockDevice> EngineSnapshot<T, D> {
 
     /// Accurate rank query over the snapshot, with cost reporting.
     pub fn rank_query(&self, r: u64) -> io::Result<Option<QueryOutcome<T>>> {
-        self.context().accurate_rank(r)
+        self.full_context().accurate_rank(r)
     }
 
     /// Batch of φ-quantiles sharing one combined-summary build.
     pub fn quantiles(&self, phis: &[f64]) -> io::Result<Vec<Option<T>>> {
-        let ctx = self.context();
-        let n = self.total_len();
-        phis.iter()
-            .map(|&phi| {
-                assert!(phi > 0.0 && phi <= 1.0, "phi must be in (0, 1]");
-                let r = (phi * n as f64).ceil() as u64;
-                Ok(ctx.accurate_rank(r)?.map(|o| o.value))
-            })
-            .collect()
+        self.full_context().quantiles(phis, self.total_len())
     }
 
     /// Quick φ-quantile over the snapshot (in-memory, error ≤ 1.5εN).
     pub fn quantile_quick(&self, phi: f64) -> Option<T> {
         assert!(phi > 0.0 && phi <= 1.0, "phi must be in (0, 1]");
         let r = (phi * self.total_len() as f64).ceil() as u64;
-        self.context().quick_rank(r)
+        self.full_context().quick_rank(r)
     }
 
     /// Window sizes (in snapshot-time steps) answerable exactly from the
@@ -842,40 +798,14 @@ impl<T: Item, D: BlockDevice> EngineSnapshot<T, D> {
     /// retention expires those steps underneath.
     pub fn quantile_in_window(&self, window_steps: u64, phi: f64) -> io::Result<Option<T>> {
         assert!(phi > 0.0 && phi <= 1.0, "phi must be in (0, 1]");
-        let Some(mut parts) = self.window_partitions(window_steps) else {
-            return Ok(None);
-        };
-        parts.retain(|p| !self.is_quarantined(p.run.file()));
-        let window_n: u64 = parts.iter().map(|p| p.run.len()).sum::<u64>() + self.stream_len();
-        let r = (phi * window_n as f64).ceil() as u64;
-        let ctx = QueryContext::new(
-            &*self.dev,
-            parts,
-            &self.stream,
-            self.epsilon,
-            self.cache_blocks,
-        )
-        .with_prefetch(self.sched.as_deref())
-        .with_degraded(self.quarantined_mass());
-        Ok(ctx.accurate_rank(r)?.map(|o| o.value))
+        let ctx = self.context(Some(window_steps));
+        ctx.map_or(Ok(None), |ctx| ctx.quantile(phi))
     }
 
     /// Windowed rank query over the snapshot, with cost reporting.
     pub fn rank_in_window(&self, window_steps: u64, r: u64) -> io::Result<Option<QueryOutcome<T>>> {
-        let Some(mut parts) = self.window_partitions(window_steps) else {
-            return Ok(None);
-        };
-        parts.retain(|p| !self.is_quarantined(p.run.file()));
-        let ctx = QueryContext::new(
-            &*self.dev,
-            parts,
-            &self.stream,
-            self.epsilon,
-            self.cache_blocks,
-        )
-        .with_prefetch(self.sched.as_deref())
-        .with_degraded(self.quarantined_mass());
-        ctx.accurate_rank(r)
+        let ctx = self.context(Some(window_steps));
+        ctx.map_or(Ok(None), |ctx| ctx.accurate_rank(r))
     }
 }
 
@@ -1047,12 +977,12 @@ mod tests {
         }
         assert_eq!(h.available_windows(), vec![1, 4, 13]);
         // Window of 1 step = values 1200..1300 (step 13), plus empty stream.
-        let med = h.quantile_window(0.5, 1).unwrap().unwrap();
+        let med = h.quantile_in_window(1, 0.5).unwrap().unwrap();
         assert!((1200..1300).contains(&med), "window median {med}");
         // Non-aligned window.
-        assert!(h.quantile_window(0.5, 2).unwrap().is_none());
+        assert!(h.quantile_in_window(2, 0.5).unwrap().is_none());
         // Window of 4: steps 10..13 -> values 900..1300.
-        let med4 = h.quantile_window(0.5, 4).unwrap().unwrap();
+        let med4 = h.quantile_in_window(4, 0.5).unwrap().unwrap();
         assert!((1050..1150).contains(&med4), "window-4 median {med4}");
     }
 
@@ -1069,27 +999,8 @@ mod tests {
             h.stream_update(v);
         }
         // Window 1 = step 3 (200..300) + stream (300..400): median ~300.
-        let med = h.quantile_window(0.5, 1).unwrap().unwrap();
+        let med = h.quantile_in_window(1, 0.5).unwrap().unwrap();
         assert!((280..330).contains(&med), "median {med}");
-    }
-
-    #[test]
-    fn window_first_api_matches_legacy_order() {
-        let mut h = engine(0.1, 2);
-        for step in 0..13u64 {
-            let batch: Vec<u64> = (0..100).map(|i| step * 100 + i).collect();
-            h.ingest_step(&batch).unwrap();
-        }
-        for w in h.available_windows() {
-            assert_eq!(
-                h.quantile_in_window(w, 0.5).unwrap(),
-                h.quantile_window(0.5, w).unwrap()
-            );
-            let a = h.rank_in_window(w, 42).unwrap().unwrap();
-            let b = h.rank_query_window(42, w).unwrap().unwrap();
-            assert_eq!(a.value, b.value);
-        }
-        assert!(h.quantile_in_window(2, 0.5).unwrap().is_none());
     }
 
     #[test]

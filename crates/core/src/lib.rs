@@ -23,11 +23,13 @@
 //!   choice), or a KLL compactor ladder selected via the [`HsqConfig`]
 //!   builder's `sketch` knob ([`SketchKind`]) — from which a
 //!   `β₂`-element summary is extracted at query time;
-//! * **queries** ([`query::QueryContext`]): a quick in-memory response
-//!   (Algorithm 5, error ≤ 1.5εN) and an accurate response (Algorithms
-//!   6–8) that bisects the value space between summary-derived filters,
-//!   probing partitions with narrowed, block-cached binary searches —
-//!   error ≤ εm (Theorem 2).
+//! * **queries** ([`query::QueryContext`], over one shard or many): a
+//!   quick in-memory response (Algorithm 5, error ≤ 1.5εN) and an
+//!   accurate response (Algorithms 6–8) that bisects the value space
+//!   between summary-derived filters in one kernel
+//!   ([`query::bisect_summed_rank`]), probing partitions with narrowed,
+//!   block-cached binary searches — error ≤ εm (Theorem 2). Every read
+//!   surface (engine, snapshots, sharded and served queries) runs it.
 //!
 //! Baselines ([`baseline`]), window queries, memory budgeting
 //! ([`budget`]), the analytic cost model ([`costmodel`]) and parallel

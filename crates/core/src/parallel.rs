@@ -97,9 +97,9 @@ where
 
 /// Compute `rank(z, P)` for every partition concurrently.
 ///
-/// Equivalent to the serial loop in
-/// `QueryContext::rank_in_partitions`, including cache reuse across
-/// bisection iterations (each partition owns its cache).
+/// Equivalent to the serial partition loop of a shard's probe source
+/// (see [`crate::query`]), including cache reuse across bisection
+/// iterations (each partition owns its cache).
 ///
 /// Work is chunked over at most `available_parallelism()` scoped threads
 /// (not one thread per partition): with `κ·log_κ T` partitions a query
@@ -114,41 +114,12 @@ pub fn par_partition_ranks<T: Item, D: BlockDevice>(
 ) -> io::Result<Vec<u64>> {
     assert_eq!(partitions.len(), windows.len());
     assert_eq!(partitions.len(), caches.len());
-    let n = partitions.len();
-    let workers = worker_count(n);
-    if workers <= 1 || n <= 1 {
-        let mut per = Vec::with_capacity(n);
-        for ((&p, &w), cache) in partitions.iter().zip(windows).zip(caches.iter_mut()) {
-            per.push(partition_rank(dev, p, z, w, cache)?);
-        }
-        return Ok(per);
-    }
-    let chunk = n.div_ceil(workers);
-    let results: Vec<io::Result<Vec<u64>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = partitions
-            .chunks(chunk)
-            .zip(windows.chunks(chunk))
-            .zip(caches.chunks_mut(chunk))
-            .map(|((ps, ws), cs)| {
-                s.spawn(move || -> io::Result<Vec<u64>> {
-                    ps.iter()
-                        .zip(ws)
-                        .zip(cs.iter_mut())
-                        .map(|((&p, &w), cache)| partition_rank(dev, p, z, w, cache))
-                        .collect()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("partition rank thread panicked"))
-            .collect()
-    });
-    let mut per = Vec::with_capacity(n);
-    for r in results {
-        per.extend(r?);
-    }
-    Ok(per)
+    let mut tasks: Vec<_> = partitions.iter().zip(windows).zip(caches).collect();
+    par_map_mut(&mut tasks, |_, ((p, w), cache)| {
+        partition_rank(dev, p, z, **w, cache)
+    })
+    .into_iter()
+    .collect()
 }
 
 #[cfg(test)]

@@ -3,12 +3,13 @@
 //!
 //! The accurate path takes the filter pair from
 //! [`CombinedSummary::generate_filters`] (Algorithm 7) and bisects the
-//! *value space* between them (Algorithm 8): at each step it computes the
-//! exact rank `ρ₁` of the midpoint `z` in every partition (a narrowed
-//! binary search over disk blocks) and an approximate rank `ρ₂` in the
-//! stream (from the stream summary's rigorous bounds), recursing left or
-//! right until `ρ = ρ₁ + ρ₂` lands within the acceptance window of the
-//! target rank.
+//! *value space* between them (Algorithm 8). [`bisect_summed_rank`] is the
+//! one bisection loop in the crate: at each step it asks a
+//! [`RankProbeSource`] for rigorous bounds on `rank(z)` of the midpoint
+//! `z` — the exact rank `ρ₁` in every partition (a narrowed binary search
+//! over disk blocks) plus an approximate rank `ρ₂` in the stream (from the
+//! stream summary's rigorous bounds) — and recurses left or right until
+//! `ρ = ρ₁ + ρ₂` lands within the acceptance window of the target rank.
 //!
 //! Ranks throughout this module are *summed weights*, not item counts:
 //! with weighted ingestion (`stream_update_weighted`) an item of weight
@@ -20,12 +21,26 @@
 //! partitions materialize weight as replication while the stream sketch
 //! carries it natively.
 //!
-//! Two paper optimizations are implemented:
-//! * per-partition search windows start from the summary's `narrow`
-//!   (Algorithm 8 line 5) and tighten monotonically as the filters move;
+//! A [`QueryContext`] spans one or more *shards* (device, partitions,
+//! stream summary). Rank bounds over disjoint sources add, so a single
+//! engine is simply the one-shard case of the cross-shard fan-in, and
+//! every read surface — live engine, [`crate::EngineSnapshot`],
+//! [`crate::ShardedSnapshot`], a serving node — runs the same kernel over
+//! the same per-shard probe source. Probes bound the *readable* union
+//! only; the outcome adds the quarantined mass to `rank_hi` exactly once.
+//!
+//! The two paper optimizations live in that per-shard source:
+//! * each partition's search window is the summary's `narrow` around the
+//!   probe (Algorithm 8 line 5), tightened by this query's earlier
+//!   probes — rank is monotone in `z`, so a probe left of the previous
+//!   one is capped by its exact ranks and a probe to the right is floored
+//!   by them;
 //! * all block reads go through a [`BlockCache`], so once a partition's
 //!   window falls inside one block no further I/O is charged for it
 //!   (§2.4 "Optimization").
+//!
+//! With an [`IoScheduler`] attached, the source also speculatively
+//! prefetches the first block read of both candidate next probes.
 
 use std::io;
 use std::sync::Arc;
@@ -84,25 +99,76 @@ pub enum SeedMode {
     Domain,
 }
 
-/// Per-query evaluation context over a fixed set of partitions.
+/// One shard's readable data as a query sees it: the block device, the
+/// partitions to probe (quarantined ones already excluded), the extracted
+/// stream summary, and the scheduler speculative prefetch goes through.
+pub(crate) struct ShardView<'a, T: Item, D: BlockDevice> {
+    pub(crate) dev: &'a D,
+    pub(crate) partitions: Vec<&'a StoredPartition<T>>,
+    pub(crate) stream: &'a StreamSummary<T>,
+    pub(crate) sched: Option<&'a IoScheduler>,
+}
+
+impl<'a, T: Item, D: BlockDevice> ShardView<'a, T, D> {
+    /// Per-source rank-bound views (partitions, then the stream): the
+    /// inputs a [`CombinedSummary`] is built from.
+    pub(crate) fn sources(&self) -> Vec<SourceView<T>> {
+        let mut out: Vec<SourceView<T>> = self
+            .partitions
+            .iter()
+            .map(|p| SourceView::from_partition(&p.summary))
+            .collect();
+        out.push(SourceView::from_stream(self.stream));
+        out
+    }
+
+    /// One decoded-block cache per partition, splitting `cache_blocks`
+    /// across them, so parallel probes never contend.
+    pub(crate) fn new_caches(&self, cache_blocks: usize) -> Vec<BlockCache<T>> {
+        let per = (cache_blocks / self.partitions.len().max(1)).max(2);
+        self.partitions
+            .iter()
+            .map(|_| BlockCache::new(per))
+            .collect()
+    }
+
+    /// A fresh probe source over this shard (see `ShardProbes`): its
+    /// first probe searches every partition inside the summary's
+    /// `narrow(z, z)` window. `parallel` probes the partitions
+    /// concurrently; `prefetch`, the seed bracket, turns on speculative
+    /// prefetch where the shard has a scheduler.
+    pub(crate) fn probes<'c>(
+        &'c self,
+        caches: &'c mut [BlockCache<T>],
+        parallel: bool,
+        prefetch: Option<(T, T)>,
+    ) -> ShardProbes<'c, T, D> {
+        debug_assert_eq!(self.partitions.len(), caches.len());
+        ShardProbes {
+            view: self,
+            caches,
+            parallel,
+            lo: None,
+            hi: None,
+            last: None,
+            prefetch: prefetch.zip(self.sched.map(SpecPrefetcher::new)),
+        }
+    }
+}
+
+/// Per-query evaluation context over one or more shards.
 ///
-/// Borrows the warehouse's partitions (all of them, or a window's worth)
-/// and the extracted stream summary.
+/// Each shard borrows its partitions (all of them, or a window's worth)
+/// and its extracted stream summary; the combined summary `TS` over every
+/// shard's sources seeds the bisection and answers quick responses.
 pub struct QueryContext<'a, T: Item, D: BlockDevice> {
-    dev: &'a D,
-    partitions: Vec<&'a StoredPartition<T>>,
-    stream: &'a StreamSummary<T>,
-    ts: CombinedSummary<T>,
+    shards: Vec<ShardView<'a, T, D>>,
+    ts: Arc<CombinedSummary<T>>,
     epsilon: f64,
     cache_blocks: usize,
-    /// Probe partitions concurrently (crossbeam scoped threads); see
-    /// `crate::parallel`.
+    /// Probe concurrently (see `crate::parallel`): the partitions of a
+    /// one-shard context, the shards of a multi-shard one.
     parallel: bool,
-    /// Overlapped-I/O scheduler for speculative bisection prefetch; when
-    /// set, both candidate half-probes of the next bisection step are
-    /// submitted while the current step finishes, so the next probe's
-    /// first block read is (ideally) already complete.
-    sched: Option<&'a IoScheduler>,
     /// Bisection bracket seeding (see [`SeedMode`]).
     seed: SeedMode,
     /// Items quarantined (excluded) from this context's partition set;
@@ -111,7 +177,8 @@ pub struct QueryContext<'a, T: Item, D: BlockDevice> {
 }
 
 impl<'a, T: Item, D: BlockDevice> QueryContext<'a, T, D> {
-    /// Build the combined summary `TS` over `partitions` ∪ stream.
+    /// Build the combined summary `TS` over `partitions` ∪ stream: the
+    /// one-shard context.
     pub fn new(
         dev: &'a D,
         partitions: Vec<&'a StoredPartition<T>>,
@@ -119,29 +186,37 @@ impl<'a, T: Item, D: BlockDevice> QueryContext<'a, T, D> {
         epsilon: f64,
         cache_blocks: usize,
     ) -> Self {
-        let mut sources: Vec<SourceView<T>> = partitions
-            .iter()
-            .map(|p| SourceView::from_partition(&p.summary))
-            .collect();
-        sources.push(SourceView::from_stream(stream));
-        let ts = CombinedSummary::build(&sources);
-        QueryContext {
+        let shard = ShardView {
             dev,
             partitions,
             stream,
+            sched: None,
+        };
+        let ts = Arc::new(CombinedSummary::build(&shard.sources()));
+        Self::over_shards(vec![shard], ts, epsilon, cache_blocks)
+    }
+
+    /// A context over `shards` whose combined summary `ts` was built (and
+    /// possibly cached) by the caller over exactly their sources.
+    pub(crate) fn over_shards(
+        shards: Vec<ShardView<'a, T, D>>,
+        ts: Arc<CombinedSummary<T>>,
+        epsilon: f64,
+        cache_blocks: usize,
+    ) -> Self {
+        QueryContext {
+            shards,
             ts,
             epsilon,
             cache_blocks,
             parallel: false,
-            sched: None,
             seed: SeedMode::default(),
             quarantined: 0,
         }
     }
 
-    /// Enable parallel partition probing (paper §4's future-work
-    /// direction: "different disk partitions can be processed in
-    /// parallel").
+    /// Enable parallel probing (paper §4's future-work direction:
+    /// "different disk partitions can be processed in parallel").
     pub fn with_parallel(mut self, yes: bool) -> Self {
         self.parallel = yes;
         self
@@ -149,13 +224,15 @@ impl<'a, T: Item, D: BlockDevice> QueryContext<'a, T, D> {
 
     /// Enable speculative bisection prefetch through `sched` (must
     /// schedule over the same device as this context): each bisection
-    /// step submits the first block read of **both** candidate
-    /// half-probes of the next step, so whichever direction the search
-    /// takes finds its block warm. Answers are identical with or without
+    /// step submits the first block read of both candidate half-probes
+    /// of the next step wherever that block is already certain, so the
+    /// direction the search takes finds its block warm. Answers are identical with or without
     /// prefetch — only the device round-trip latency moves off the
     /// critical path. No-op when `None`.
     pub fn with_prefetch(mut self, sched: Option<&'a IoScheduler>) -> Self {
-        self.sched = sched;
+        for s in &mut self.shards {
+            s.sched = sched;
+        }
         self
     }
 
@@ -191,6 +268,22 @@ impl<'a, T: Item, D: BlockDevice> QueryContext<'a, T, D> {
         self.ts.quick_response(r.clamp(1, self.total().max(1)))
     }
 
+    /// Accurate φ-quantiles at ranks `⌈φ·n⌉`, one bisection each.
+    pub(crate) fn quantiles(&self, phis: &[f64], n: u64) -> io::Result<Vec<Option<T>>> {
+        phis.iter()
+            .map(|&phi| {
+                assert!(phi > 0.0 && phi <= 1.0, "phi must be in (0, 1]");
+                let r = (phi * n as f64).ceil() as u64;
+                Ok(self.accurate_rank(r)?.map(|o| o.value))
+            })
+            .collect()
+    }
+
+    /// Accurate φ-quantile over this context's union (rank `⌈φ·N⌉`).
+    pub(crate) fn quantile(&self, phi: f64) -> io::Result<Option<T>> {
+        Ok(self.quantiles(&[phi], self.total())?.pop().flatten())
+    }
+
     /// Algorithm 6: accurate response for 1-based rank `r`.
     /// Error O(ε·m) (Lemma 5, Theorem 2).
     pub fn accurate_rank(&self, r: u64) -> io::Result<Option<QueryOutcome<T>>> {
@@ -199,126 +292,36 @@ impl<'a, T: Item, D: BlockDevice> QueryContext<'a, T, D> {
             return Ok(None);
         }
         let r = r.clamp(1, total);
-        let before = self.dev.stats().snapshot();
-
-        let (mut u, mut v) = match self.seed {
+        // I/O counters of every distinct shard device (shards may share one).
+        let mut before: Vec<(&D, IoSnapshot)> = Vec::new();
+        for s in &self.shards {
+            if !before.iter().any(|&(d, _)| std::ptr::eq(d, s.dev)) {
+                before.push((s.dev, s.dev.stats().snapshot()));
+            }
+        }
+        let (u, v) = match self.seed {
             SeedMode::Summary => self.ts.seed_bracket(r),
             SeedMode::Domain => (T::MIN, T::MAX),
         };
-        // One decoded-block cache per partition so parallel probes don't
-        // contend; capacity split across partitions.
-        let per_cache = (self.cache_blocks / self.partitions.len().max(1)).max(2);
-        let mut caches: Vec<BlockCache<T>> = self
-            .partitions
-            .iter()
-            .map(|_| BlockCache::new(per_cache))
-            .collect();
-        if v <= u {
-            // Both filters pin rank r exactly (possible when L and U meet
-            // at r); v is Definition 1's answer.
-            let mut windows: Vec<(u64, u64)> = self
-                .partitions
-                .iter()
-                .map(|p| p.summary.narrow(v, v))
-                .collect();
-            let rho = self.estimate_rank(v, &mut windows, &mut caches)?;
-            let eps_m = (self.epsilon * self.stream.stream_len() as f64).floor() as u64;
-            return Ok(Some(QueryOutcome {
-                value: v,
-                io: self.dev.stats().snapshot() - before,
-                bisection_steps: 0,
-                estimated_rank: rho,
-                prefetch_hits: 0,
-                prefetch_wasted: 0,
-                rank_lo: rho.saturating_sub(eps_m),
-                rank_hi: rho + eps_m + self.quarantined,
-                degraded: self.quarantined > 0,
-                quarantined: self.quarantined,
-            }));
-        }
-
-        // Per-partition rank windows from the summaries (Alg. 8 line 5).
-        let mut windows: Vec<(u64, u64)> = self
-            .partitions
-            .iter()
-            .map(|p| p.summary.narrow(u, v))
-            .collect();
-
-        let m = self.stream.stream_len();
-        // Acceptance tolerance: the final guarantee is |rank(z) - r| <=
-        // eps*m; since rho2 carries up to `unc` uncertainty, accept when
-        // |rho - r| <= eps*m - unc (floored at 0; bisection then runs to
-        // value collapse and returns the boundary, which is the
-        // Definition-1 answer).
+        let m: u64 = self.shards.iter().map(|s| s.stream.stream_len()).sum();
         let eps_m = (self.epsilon * m as f64).floor() as u64;
-        let bs = self.dev.block_size();
-        let mut prefetch = self.sched.map(SpecPrefetcher::new);
-
-        let mut steps = 0u32;
-        let (value, estimated_rank) = loop {
-            steps += 1;
-            if steps > T::UNIVERSE_BITS + 2 {
-                // Value space exhausted; v is the smallest value whose
-                // estimated rank reaches r (Definition 1's choice).
-                let rho = self.estimate_rank(v, &mut windows, &mut caches)?;
-                break (v, rho);
-            }
-            let z = T::midpoint(u, v);
-            if z == u && z == v {
-                let rho = self.estimate_rank(v, &mut windows, &mut caches)?;
-                break (v, rho);
-            }
-
-            // Consume the speculative reads matching this step's probes
-            // before the synchronous path looks for their blocks.
-            if let Some(pf) = prefetch.as_mut() {
-                pf.harvest(&self.partitions, &windows, bs, &mut caches);
-            }
-            let (rho1, part_ranks) = self.rank_in_partitions(z, &windows, &mut caches)?;
-            // Speculate on the next step: submit the first-probe block of
-            // both candidate half-windows (left: v=z tightens the upper
-            // rank bound to the probe's result; right: u=z raises the
-            // lower) while the acceptance arithmetic below runs. One of
-            // them is the next step's first read — already in flight.
-            if let Some(pf) = prefetch.as_mut() {
-                pf.speculate(&self.partitions, &windows, &part_ranks, bs, &caches);
-            }
-            let (lo2, hi2) = self.stream.rank_bounds(z);
-            let rho2 = lo2 + (hi2 - lo2) / 2;
-            let unc = hi2 - rho2;
-            let rho = rho1 + rho2;
-            let tol = eps_m.saturating_sub(unc);
-
-            if r < rho && rho - r > tol {
-                // Too high: recurse left (Alg. 8 line 13).
-                v = z;
-                for (w, &pr) in windows.iter_mut().zip(&part_ranks) {
-                    w.1 = w.1.min(pr);
-                }
-            } else if rho < r && r - rho > tol {
-                // Too low: recurse right (Alg. 8 line 15).
-                if z == u {
-                    // Interval degenerated to {u, v=u+ulp}: the answer is v.
-                    let rho_v = self.estimate_rank(v, &mut windows, &mut caches)?;
-                    break (v, rho_v);
-                }
-                u = z;
-                for (w, &pr) in windows.iter_mut().zip(&part_ranks) {
-                    w.0 = w.0.max(pr);
-                }
-            } else {
-                break (z, rho);
-            }
-        };
-
-        let (prefetch_hits, prefetch_wasted) = match prefetch {
-            Some(pf) => pf.finish(),
-            None => (0, 0),
-        };
+        let mut caches: Vec<_> = self
+            .shards
+            .iter()
+            .map(|s| s.new_caches(self.cache_blocks))
+            .collect();
+        // A degenerate bracket is answered by one probe: nothing to prefetch.
+        let prefetch = (u < v).then_some((u, v));
+        let mut probes = FanIn::new(&self.shards, &mut caches, self.parallel, prefetch);
+        let (value, estimated_rank, bisection_steps) =
+            bisect_summed_rank(r, eps_m, u, v, &mut probes)?;
+        let (prefetch_hits, prefetch_wasted) = probes.finish();
         Ok(Some(QueryOutcome {
             value,
-            io: self.dev.stats().snapshot() - before,
-            bisection_steps: steps,
+            io: before.iter().fold(IoSnapshot::default(), |io, &(d, b)| {
+                io + (d.stats().snapshot() - b)
+            }),
+            bisection_steps,
             estimated_rank,
             prefetch_hits,
             prefetch_wasted,
@@ -328,51 +331,181 @@ impl<'a, T: Item, D: BlockDevice> QueryContext<'a, T, D> {
             quarantined: self.quarantined,
         }))
     }
+}
 
-    /// Exact rank of `z` across all partitions, plus the per-partition
-    /// ranks (for window tightening). Serial or parallel per the context.
-    fn rank_in_partitions(
-        &self,
-        z: T,
-        windows: &[(u64, u64)],
-        caches: &mut [BlockCache<T>],
-    ) -> io::Result<(u64, Vec<u64>)> {
-        let per = if self.parallel && self.partitions.len() > 1 {
-            crate::parallel::par_partition_ranks(self.dev, &self.partitions, z, windows, caches)?
-        } else {
-            let mut per = Vec::with_capacity(self.partitions.len());
-            for ((p, &w), cache) in self.partitions.iter().zip(windows).zip(caches.iter_mut()) {
-                per.push(partition_rank(self.dev, p, z, w, cache)?);
-            }
-            per
-        };
-        Ok((per.iter().sum(), per))
+/// The cross-shard probe source: per-shard bounds summed (bounds over
+/// disjoint shards add), shards probed concurrently when `parallel`.
+pub(crate) struct FanIn<'c, T: Item, D: BlockDevice> {
+    shards: Vec<ShardProbes<'c, T, D>>,
+    parallel: bool,
+}
+
+impl<'c, T: Item, D: BlockDevice> FanIn<'c, T, D> {
+    /// Fresh probe sources over `shards`, one cache set each. `parallel`
+    /// probes the shards concurrently — or, for a single shard, its
+    /// partitions. `prefetch` is the seed bracket guiding speculative
+    /// prefetch (see [`ShardView::probes`]).
+    pub(crate) fn new(
+        shards: &'c [ShardView<'c, T, D>],
+        caches: &'c mut [Vec<BlockCache<T>>],
+        parallel: bool,
+        prefetch: Option<(T, T)>,
+    ) -> Self {
+        let across = parallel && shards.len() > 1;
+        FanIn {
+            shards: shards
+                .iter()
+                .zip(caches)
+                .map(|(s, c)| s.probes(c, parallel && !across, prefetch))
+                .collect(),
+            parallel: across,
+        }
     }
 
-    /// ρ(z) = exact rank in HD + midpoint estimate in R.
-    fn estimate_rank(
-        &self,
-        z: T,
-        windows: &mut [(u64, u64)],
-        caches: &mut [BlockCache<T>],
-    ) -> io::Result<u64> {
-        let (rho1, _) = self.rank_in_partitions(z, windows, caches)?;
-        let (lo2, hi2) = self.stream.rank_bounds(z);
-        Ok(rho1 + lo2 + (hi2 - lo2) / 2)
+    /// Settle every shard's speculative reads; `(hits, wasted)` summed.
+    fn finish(self) -> (u32, u32) {
+        self.shards
+            .into_iter()
+            .map(ShardProbes::finish)
+            .fold((0, 0), |(h, w), (a, b)| (h + a, w + b))
+    }
+}
+
+impl<T: Item, D: BlockDevice> RankProbeSource<T> for FanIn<'_, T, D> {
+    fn probe(&mut self, z: T) -> io::Result<(u64, u64)> {
+        let results = if self.parallel {
+            crate::parallel::par_map_mut(&mut self.shards, |_, s| s.probe(z))
+        } else {
+            self.shards.iter_mut().map(|s| s.probe(z)).collect()
+        };
+        results
+            .into_iter()
+            .try_fold((0, 0), |(lo, hi), b| b.map(|(l, h)| (lo + l, hi + h)))
+    }
+}
+
+/// One shard's stateful [`RankProbeSource`]: exact partition ranks
+/// (narrowed, cache-served binary searches) plus the stream summary's
+/// tracked interval, over the readable data of a [`ShardView`].
+///
+/// The source remembers the exact per-partition ranks of earlier probes.
+/// Rank is monotone in `z`, so when the next probe lies left of the last
+/// one (the bisection recursed left) the last probe's ranks cap every
+/// window, and when it lies to the right they floor them. Each window is
+/// the summary's `narrow(z, z)` intersected with those bounds; a bound
+/// whose probe lies on the wrong side of `z` is ignored, so any probe
+/// sequence stays exact.
+///
+/// With prefetch on, the source also knows the bisection's seed bracket,
+/// so after each probe it can bound the value range of both candidate
+/// next probes and speculate on their first block reads.
+pub(crate) struct ShardProbes<'c, T: Item, D: BlockDevice> {
+    view: &'c ShardView<'c, T, D>,
+    caches: &'c mut [BlockCache<T>],
+    /// Probe the partitions concurrently.
+    parallel: bool,
+    /// The latest earlier probe that a later probe lay right of, with
+    /// its per-partition ranks (window floors).
+    lo: Option<(T, Vec<u64>)>,
+    /// The latest earlier probe that a later probe lay left of or at
+    /// (window caps).
+    hi: Option<(T, Vec<u64>)>,
+    /// The previous probe, folded into `lo` or `hi` by the next one.
+    last: Option<(T, Vec<u64>)>,
+    /// The seed bracket `(u, v)`, with the prefetcher it guides.
+    prefetch: Option<((T, T), SpecPrefetcher<'c, T>)>,
+}
+
+impl<T: Item, D: BlockDevice> ShardProbes<'_, T, D> {
+    /// Settle outstanding speculative reads; `(hits, wasted)`.
+    fn finish(self) -> (u32, u32) {
+        self.prefetch.map_or((0, 0), |(_, pf)| pf.finish())
+    }
+}
+
+impl<T: Item, D: BlockDevice> RankProbeSource<T> for ShardProbes<'_, T, D> {
+    fn probe(&mut self, z: T) -> io::Result<(u64, u64)> {
+        if let Some((at, ranks)) = self.last.take() {
+            if z <= at {
+                self.hi = Some((at, ranks));
+            } else {
+                self.lo = Some((at, ranks));
+            }
+        }
+        let view = self.view;
+        let parts = &view.partitions;
+        let lo = self.lo.as_ref().filter(|(at, _)| *at <= z);
+        let hi = self.hi.as_ref().filter(|(at, _)| z <= *at);
+        // `bounds`: what earlier probes prove; `windows`: that,
+        // intersected with the summary's narrow(z, z).
+        let mut bounds = Vec::with_capacity(parts.len());
+        let mut windows = Vec::with_capacity(parts.len());
+        for (i, p) in parts.iter().enumerate() {
+            let b = (
+                lo.map_or(0, |(_, ranks)| ranks[i]),
+                hi.map_or(p.run.len(), |(_, ranks)| ranks[i]),
+            );
+            let (nlo, nhi) = p.summary.narrow(z, z);
+            bounds.push(b);
+            windows.push((b.0.max(nlo), b.1.min(nhi)));
+        }
+        let bs = view.dev.block_size();
+        // Consume the speculative reads matching this probe before the
+        // synchronous path looks for their blocks.
+        if let Some((_, pf)) = self.prefetch.as_mut() {
+            pf.harvest(parts, &windows, bs, self.caches);
+        }
+        let ranks = if self.parallel && parts.len() > 1 {
+            crate::parallel::par_partition_ranks(view.dev, parts, z, &windows, self.caches)?
+        } else {
+            let mut ranks = Vec::with_capacity(parts.len());
+            for ((p, &w), cache) in parts.iter().zip(&windows).zip(self.caches.iter_mut()) {
+                ranks.push(partition_rank(view.dev, p, z, w, cache)?);
+            }
+            ranks
+        };
+        // Speculate on the next probe while the bisection's acceptance
+        // arithmetic runs. It lies in `[u, z]` (windows capped at this
+        // probe's ranks) or in `[z, v]` (floored at them); each candidate
+        // is given by its windows at the two ends of its value range.
+        if let Some(((u0, v0), pf)) = self.prefetch.as_mut() {
+            let u = lo.map_or(*u0, |(at, _)| *at).min(z);
+            let v = hi.map_or(*v0, |(at, _)| *at).max(z);
+            let candidates: Vec<_> = parts
+                .iter()
+                .zip(&bounds)
+                .zip(&ranks)
+                .map(|((p, &(blo, bhi)), &pr)| {
+                    let window = |(lo, hi): (u64, u64), at: T| {
+                        let (nlo, nhi) = p.summary.narrow(at, at);
+                        (lo.max(nlo), hi.min(nhi))
+                    };
+                    [
+                        [window((blo, pr), u), window((blo, pr), z)],
+                        [window((pr, bhi), z), window((pr, bhi), v)],
+                    ]
+                })
+                .collect();
+            pf.speculate(parts, &candidates, bs, self.caches);
+        }
+        let rho1: u64 = ranks.iter().sum();
+        self.last = Some((z, ranks));
+        let (lo2, hi2) = view.stream.rank_bounds(z);
+        Ok((rho1 + lo2, rho1 + hi2))
     }
 }
 
 /// Speculative bisection prefetch (the "summary-guided readahead" of the
 /// query path): while one bisection step's acceptance arithmetic runs,
-/// the first-probe block reads of **both** candidate next steps are
+/// the first-probe block reads of the candidate next steps are
 /// already submitted to the [`IoScheduler`], so the step actually taken
 /// finds its block warm in the per-partition cache.
 ///
 /// The first block a narrowed [`partition_rank`] search reads is fully
 /// determined by the rank window (`mid = lo + (hi-lo)/2`, block =
-/// `mid / per`), and both candidate windows follow from the current
-/// probe's per-partition ranks — so the speculation is exact: one of the
-/// two submissions per partition is the next step's first read.
+/// `mid / per`). Only blocks that are certain for a candidate are
+/// submitted (see [`SpecPrefetcher::speculate`]), so whichever candidate
+/// the bisection takes, its submission is that step's first read.
 struct SpecPrefetcher<'d, T: Item> {
     sched: &'d IoScheduler,
     /// In-flight speculative single-block reads: `(partition, block,
@@ -401,30 +534,34 @@ impl<'d, T: Item> SpecPrefetcher<'d, T> {
         (lo < hi).then(|| (lo + (hi - lo) / 2) / per)
     }
 
-    /// Submit the first-probe blocks of both candidate next-step windows
-    /// (left candidate caps each window's upper bound at the probed
-    /// rank; right candidate raises the lower bound), skipping blocks
-    /// already decoded in `caches`.
+    /// Submit the first-probe block of each candidate next probe whose
+    /// block is certain, skipping blocks already decoded in `caches`.
+    ///
+    /// A candidate is given per partition by its windows at the two ends
+    /// of its value range. Both window ends are monotone in the probe
+    /// value, so the first-probe block of any probe in the range lies
+    /// between the blocks of those two windows: when they agree, that
+    /// block is the candidate's first read (if it reads at all).
     fn speculate(
         &mut self,
         partitions: &[&StoredPartition<T>],
-        windows: &[(u64, u64)],
-        part_ranks: &[u64],
+        candidates: &[[[(u64, u64); 2]; 2]],
         bs: usize,
         caches: &[BlockCache<T>],
     ) {
-        for (i, ((p, &w), &pr)) in partitions.iter().zip(windows).zip(part_ranks).enumerate() {
+        for (i, (p, ends)) in partitions.iter().zip(candidates).enumerate() {
             let per = p.run.items_per_block(bs) as u64;
-            let left = (w.0, w.1.min(pr));
-            let right = (w.0.max(pr), w.1);
-            let mut submit = |window: (u64, u64)| {
-                let Some(block) = Self::first_probe_block(window, per) else {
-                    return;
+            for [near, far] in ends {
+                let far_block = Self::first_probe_block(*far, per);
+                let Some(block) =
+                    Self::first_probe_block(*near, per).filter(|&b| Some(b) == far_block)
+                else {
+                    continue;
                 };
                 if caches[i].contains(p.run.file(), block)
                     || self.pending.iter().any(|&(pi, b, _)| pi == i && b == block)
                 {
-                    return;
+                    continue;
                 }
                 let ticket = self.sched.submit_speculative(IoOp::ReadBlocks {
                     file: p.run.file(),
@@ -432,9 +569,7 @@ impl<'d, T: Item> SpecPrefetcher<'d, T> {
                     count: 1,
                 });
                 self.pending.push((i, block, ticket));
-            };
-            submit(left);
-            submit(right);
+            }
         }
     }
 
@@ -507,12 +642,14 @@ impl<'d, T: Item> SpecPrefetcher<'d, T> {
 /// over whatever union the source fronts.
 ///
 /// The trait is the seam between *where the data lives* and *how the
-/// query runs*: an in-process [`crate::ShardedSnapshot`] probes its
-/// shards directly (any `FnMut(T) -> io::Result<(u64, u64)>` closure
-/// implements the trait), while a networked coordinator batches one
-/// probe round per call across remote nodes — bounds from disjoint
-/// sources add, so both drive the *same* bisection and inherit the same
-/// `ε·m` guarantee.
+/// query runs*. In process, every [`QueryContext`] probes through one
+/// stateful source per shard, which may use the probes it has already
+/// answered to narrow the next one (the bisection's probes are nested,
+/// and rank is monotone in `z`); the shards' bounds are summed. A
+/// networked coordinator batches one probe round per call across remote
+/// nodes. Bounds from disjoint sources add, so all of them drive the
+/// *same* bisection and inherit the same `ε·m` guarantee. Any
+/// `FnMut(T) -> io::Result<(u64, u64)>` closure implements the trait.
 pub trait RankProbeSource<T: Item> {
     /// Rigorous `(lo, hi)` bounds on `rank(z)` over the fronted union.
     fn probe(&mut self, z: T) -> io::Result<(u64, u64)>;
@@ -524,10 +661,11 @@ impl<T: Item, F: FnMut(T) -> io::Result<(u64, u64)>> RankProbeSource<T> for F {
     }
 }
 
-/// Value-space bisection over *summed* rank bounds (the cross-shard
-/// fan-in of [`crate::sharded`], shared by full and windowed queries —
-/// and, through the [`RankProbeSource`] seam, by remote coordinators
-/// probing nodes over the wire).
+/// Value-space bisection over *summed* rank bounds: the one bisection
+/// kernel behind every accurate query — [`QueryContext::accurate_rank`]
+/// for one or many shards, full or windowed, and, through the
+/// [`RankProbeSource`] seam, remote coordinators probing nodes over the
+/// wire.
 ///
 /// `probe` returns rigorous `(lo, hi)` bounds on `rank(z)` — summed
 /// weights under weighted ingestion — over the queried union; the
@@ -578,31 +716,6 @@ pub fn bisect_summed_rank<T: Item>(
             break Ok((z, rho, steps));
         }
     }
-}
-
-/// Rigorous bounds on `rank(z, T)` over `partitions ∪ stream`: the exact
-/// disk-side rank (each partition probed inside its summary-narrowed
-/// window, block reads served through the per-partition `caches`) plus the
-/// stream summary's tracked interval.
-///
-/// This is the per-shard probe of the cross-shard fan-in
-/// ([`crate::sharded`]): bounds from disjoint shards *add*, so a global
-/// bisection over the summed bounds inherits each shard's guarantee.
-pub fn union_rank_bounds<T: Item, D: BlockDevice>(
-    dev: &D,
-    partitions: &[&StoredPartition<T>],
-    stream: &StreamSummary<T>,
-    z: T,
-    caches: &mut [BlockCache<T>],
-) -> io::Result<(u64, u64)> {
-    debug_assert_eq!(partitions.len(), caches.len());
-    let mut rho1 = 0u64;
-    for (p, cache) in partitions.iter().zip(caches.iter_mut()) {
-        let w = p.summary.narrow(z, z);
-        rho1 += partition_rank(dev, p, z, w, cache)?;
-    }
-    let (lo, hi) = stream.rank_bounds(z);
-    Ok((rho1 + lo, rho1 + hi))
 }
 
 /// Exact `rank(z, P)` (summed weight of elements ≤ z — archived runs

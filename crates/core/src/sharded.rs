@@ -21,6 +21,13 @@
 //! `ε·Σm_s = ε·m` — the combined answer keeps the exact same Theorem-2
 //! guarantee as a single engine fed the union.
 //!
+//! The fan-in is not a second query path: a [`ShardedSnapshot`] builds a
+//! multi-shard [`crate::QueryContext`] (one view per shard over its cached
+//! combined summary or cached window-plan partitions) and runs the
+//! same bisection kernel and per-shard probe source as a single engine,
+//! which is just the one-shard case. A serving node answers each remote
+//! probe through the same source ([`ShardedSnapshot::probe_bounds`]).
+//!
 //! Queries run against a [`ShardedSnapshot`] (one pinned
 //! [`EngineSnapshot`] per shard), so readers proceed concurrently with
 //! ingestion: take the snapshot under the writer's lock, query it
@@ -30,12 +37,12 @@ use std::collections::HashMap;
 use std::io;
 use std::sync::{Arc, Mutex};
 
-use hsq_storage::{BlockCache, BlockDevice, FileId, IoSnapshot, Item};
+use hsq_storage::{BlockCache, BlockDevice, FileId, Item};
 
 use crate::bounds::CombinedSummary;
 use crate::config::HsqConfig;
 use crate::engine::{EngineSnapshot, HistStreamQuantiles};
-use crate::query::QueryOutcome;
+use crate::query::{FanIn, QueryContext, QueryOutcome, RankProbeSource, ShardView};
 use crate::stream::StreamSummary;
 use crate::warehouse::UpdateReport;
 
@@ -273,6 +280,7 @@ impl<T: Item, D: BlockDevice> ShardedEngine<T, D> {
         ShardedSnapshot {
             shards: self.shards.iter().map(|s| s.snapshot()).collect(),
             epsilon: self.config.query_epsilon(),
+            cache_blocks: self.config.cache_blocks,
             parallel: self.config.parallel_query,
             ts: std::sync::OnceLock::new(),
             window_plans: Mutex::new(HashMap::new()),
@@ -356,7 +364,7 @@ impl<T: Item, D: BlockDevice> ShardedEngine<T, D> {
 }
 
 /// An immutable cross-shard view (see [`ShardedEngine::snapshot`]):
-/// per-shard pinned snapshots plus the fan-in query machinery.
+/// per-shard pinned snapshots plus the cached query plans.
 ///
 /// The snapshot is also the **query-plan cache**: the cross-shard
 /// combined summary (every partition summary plus every shard's stream
@@ -368,12 +376,13 @@ impl<T: Item, D: BlockDevice> ShardedEngine<T, D> {
 pub struct ShardedSnapshot<T: Item, D: BlockDevice> {
     shards: Vec<EngineSnapshot<T, D>>,
     epsilon: f64,
+    cache_blocks: usize,
     /// Probe shards concurrently (from the config's `parallel_query`):
     /// worth it when shard devices overlap real I/O; serial probing is
     /// cheaper when everything is cache-resident.
     parallel: bool,
     /// Lazily built cross-shard combined summary (full union).
-    ts: std::sync::OnceLock<CombinedSummary<T>>,
+    ts: std::sync::OnceLock<Arc<CombinedSummary<T>>>,
     /// Lazily built per-window query plans, keyed by window size;
     /// misaligned windows cache as `None` so repeats stay cheap too.
     window_plans: Mutex<HashMap<u64, Option<Arc<WindowPlan<T>>>>>,
@@ -383,10 +392,9 @@ pub struct ShardedSnapshot<T: Item, D: BlockDevice> {
 struct WindowPlan<T> {
     /// Per shard: indices into that shard's pinned partition list.
     parts: Vec<Vec<usize>>,
-    /// History inside the window plus the live stream at snapshot time.
-    total: u64,
-    /// Combined summary over the windowed sources (filter generation).
-    ts: CombinedSummary<T>,
+    /// Combined summary over the windowed sources (filter generation);
+    /// its total is the window's history plus the live stream.
+    ts: Arc<CombinedSummary<T>>,
 }
 
 impl<T: Item, D: BlockDevice> ShardedSnapshot<T, D> {
@@ -424,10 +432,12 @@ impl<T: Item, D: BlockDevice> ShardedSnapshot<T, D> {
     /// Built once per snapshot, on first use: the snapshot is immutable,
     /// so every later query (from any thread) reuses the same summary.
     pub fn combined_summary(&self) -> &CombinedSummary<T> {
-        self.ts.get_or_init(|| {
-            let sources: Vec<_> = self.shards.iter().flat_map(|s| s.sources()).collect();
-            CombinedSummary::build(&sources)
-        })
+        self.full_summary()
+    }
+
+    fn full_summary(&self) -> &Arc<CombinedSummary<T>> {
+        self.ts
+            .get_or_init(|| Arc::new(CombinedSummary::build(&self.source_views())))
     }
 
     /// One global stream summary, merged from the per-shard summaries
@@ -462,77 +472,89 @@ impl<T: Item, D: BlockDevice> ShardedSnapshot<T, D> {
     }
 
     /// Batch of φ-quantiles over this snapshot, sharing one cross-shard
-    /// combined-summary build and one set of block caches across the
-    /// whole batch (mirrors [`EngineSnapshot::quantiles`]).
+    /// combined-summary build (mirrors [`EngineSnapshot::quantiles`]).
     pub fn quantiles(&self, phis: &[f64]) -> io::Result<Vec<Option<T>>> {
-        let ts = self.combined_summary();
-        let mut caches: Vec<Vec<BlockCache<T>>> =
-            self.shards.iter().map(|s| s.new_caches()).collect();
-        let n = self.total_len();
-        phis.iter()
-            .map(|&phi| {
-                assert!(phi > 0.0 && phi <= 1.0, "phi must be in (0, 1]");
-                let r = (phi * n as f64).ceil() as u64;
-                Ok(self.rank_query_with(r, ts, &mut caches)?.map(|o| o.value))
-            })
-            .collect()
+        self.full_context().quantiles(phis, self.total_len())
     }
 
-    /// Summed `rank(z)` bounds across shards — concurrently over the
-    /// bounded pool when `parallel_query` is configured, serially
-    /// otherwise. `caches` = one cache set per shard, from
-    /// [`ShardedSnapshot::new_cache_set`].
+    /// Per-shard views of the readable data: the full union, or the
+    /// newest `window` steps through the cached [`WindowPlan`] (`None`
+    /// when any shard misaligns). Quarantined partitions are excluded.
+    fn views(&self, window: Option<u64>) -> Option<Vec<ShardView<'_, T, D>>> {
+        let Some(w) = window else {
+            return Some(self.shards.iter().map(|s| s.view(s.healthy())).collect());
+        };
+        let plan = self.window_plan(w)?;
+        Some(
+            self.shards
+                .iter()
+                .zip(&plan.parts)
+                .map(|(s, idx)| s.view(idx.iter().map(|&i| s.partition_at(i)).collect()))
+                .collect(),
+        )
+    }
+
+    /// A query context over [`ShardedSnapshot::views`] and the matching
+    /// cached combined summary; every outcome widens by
+    /// [`ShardedSnapshot::quarantined_total`].
+    fn context(&self, window: Option<u64>) -> Option<QueryContext<'_, T, D>> {
+        let ts = match window {
+            None => Arc::clone(self.full_summary()),
+            Some(w) => Arc::clone(&self.window_plan(w)?.ts),
+        };
+        Some(
+            QueryContext::over_shards(self.views(window)?, ts, self.epsilon, self.cache_blocks)
+                .with_parallel(self.parallel)
+                .with_degraded(self.quarantined_total()),
+        )
+    }
+
+    fn full_context(&self) -> QueryContext<'_, T, D> {
+        self.context(None)
+            .expect("the full union is always aligned")
+    }
+
+    /// Summed `rank(z)` bounds across shards over the readable union, or
+    /// over its newest `window` steps (`Ok(None)` when the window
+    /// misaligns) — concurrently over the bounded pool when
+    /// `parallel_query` is configured. Each shard searches its partitions
+    /// inside their summaries' `narrow(z, z)` windows. `caches` from
+    /// [`ShardedSnapshot::new_cache_set`] with the same `window`.
     ///
     /// Public because it is the per-node probe of the networked fan-in:
     /// a serving node answers each probe round with exactly this sum,
     /// and bounds from disjoint nodes add, so a coordinator bisecting
     /// over node-summed bounds inherits the in-process guarantee.
-    pub fn probe_bounds(&self, z: T, caches: &mut [Vec<BlockCache<T>>]) -> io::Result<(u64, u64)> {
-        let results = if self.parallel && self.shards.len() > 1 {
-            crate::parallel::par_map_mut(caches, |i, c| self.shards[i].rank_bounds(z, c))
-        } else {
-            self.shards
-                .iter()
-                .zip(caches.iter_mut())
-                .map(|(s, c)| s.rank_bounds(z, c))
-                .collect()
+    /// Quarantined mass is *not* included: the coordinator widens the
+    /// outcome by the session's quarantined weight once.
+    pub fn probe_bounds(
+        &self,
+        window: Option<u64>,
+        z: T,
+        caches: &mut [Vec<BlockCache<T>>],
+    ) -> io::Result<Option<(u64, u64)>> {
+        let Some(views) = self.views(window) else {
+            return Ok(None);
         };
-        let mut lo = 0u64;
-        let mut hi = 0u64;
-        for r in results {
-            let (l, h) = r?;
-            lo += l;
-            hi += h;
-        }
-        Ok((lo, hi))
+        FanIn::new(&views, caches, self.parallel, None)
+            .probe(z)
+            .map(Some)
     }
 
-    /// I/O counters of every distinct shard device (shards may share one).
-    fn io_marks(&self) -> Vec<(*const (), IoSnapshot)> {
-        let mut marks: Vec<(*const (), IoSnapshot)> = Vec::new();
-        for s in &self.shards {
-            let ptr = Arc::as_ptr(s.device()) as *const ();
-            if !marks.iter().any(|&(p, _)| p == ptr) {
-                marks.push((ptr, s.device().stats().snapshot()));
-            }
-        }
-        marks
-    }
-
-    fn io_since(&self, marks: &[(*const (), IoSnapshot)]) -> IoSnapshot {
-        // Iterate the deduped marks (not the shards) so a device shared
-        // by several shards is counted exactly once.
-        let mut total = IoSnapshot::default();
-        for &(ptr, before) in marks {
-            if let Some(s) = self
-                .shards
+    /// One block-cache set per shard for
+    /// [`ShardedSnapshot::probe_bounds`] over the same `window` (per
+    /// shard, one cache per probed partition, the cache budget split
+    /// across them); `None` when the window misaligns. Callers probing
+    /// concurrently (e.g. one serving connection per tenant) hold their
+    /// own set; the snapshot itself stays shared.
+    pub fn new_cache_set(&self, window: Option<u64>) -> Option<Vec<Vec<BlockCache<T>>>> {
+        let views = self.views(window)?;
+        Some(
+            views
                 .iter()
-                .find(|s| Arc::as_ptr(s.device()) as *const () == ptr)
-            {
-                total = total + (s.device().stats().snapshot() - before);
-            }
-        }
-        total
+                .map(|v| v.new_caches(self.cache_blocks))
+                .collect(),
+        )
     }
 
     /// Accurate cross-shard rank query (the fan-in described in the
@@ -541,52 +563,7 @@ impl<T: Item, D: BlockDevice> ShardedSnapshot<T, D> {
     /// Error ≤ ε·m over the union, `m` = total stream size at snapshot
     /// time.
     pub fn rank_query(&self, r: u64) -> io::Result<Option<QueryOutcome<T>>> {
-        let ts = self.combined_summary();
-        let mut caches: Vec<Vec<BlockCache<T>>> =
-            self.shards.iter().map(|s| s.new_caches()).collect();
-        self.rank_query_with(r, ts, &mut caches)
-    }
-
-    /// [`ShardedSnapshot::rank_query`] against a prebuilt combined
-    /// summary and cache set (shared across a batch of queries).
-    fn rank_query_with(
-        &self,
-        r: u64,
-        ts: &CombinedSummary<T>,
-        caches: &mut [Vec<BlockCache<T>>],
-    ) -> io::Result<Option<QueryOutcome<T>>> {
-        let total = self.total_len();
-        if total == 0 {
-            return Ok(None);
-        }
-        let r = r.clamp(1, total);
-        let marks = self.io_marks();
-
-        // Tightest summary bracket (filters with extreme-value fallback).
-        let (u, v) = ts.seed_bracket(r);
-
-        // Same acceptance rule as the single-engine accurate response: the
-        // probe's midpoint estimate carries up to `unc = Σ unc_s ≤ ε·m`
-        // uncertainty, so accept when |ρ − r| ≤ ε·m − unc and otherwise
-        // bisect to value collapse (Definition 1's boundary answer).
-        let eps_m = (self.epsilon * self.stream_len() as f64).floor() as u64;
-        let mut probe = |z| self.probe_bounds(z, caches);
-        let (value, estimated_rank, steps) =
-            crate::query::bisect_summed_rank(r, eps_m, u, v, &mut probe)?;
-
-        let quarantined = self.quarantined_total();
-        Ok(Some(QueryOutcome {
-            value,
-            io: self.io_since(&marks),
-            bisection_steps: steps,
-            estimated_rank,
-            prefetch_hits: 0,
-            prefetch_wasted: 0,
-            rank_lo: estimated_rank.saturating_sub(eps_m),
-            rank_hi: estimated_rank + eps_m + quarantined,
-            degraded: quarantined > 0,
-            quarantined,
-        }))
+        self.full_context().accurate_rank(r)
     }
 
     /// Items excluded by quarantine across every shard — the `rank_hi`
@@ -602,13 +579,6 @@ impl<T: Item, D: BlockDevice> ShardedSnapshot<T, D> {
     /// in-process acceptance windows are bit-identical.
     pub fn query_epsilon(&self) -> f64 {
         self.epsilon
-    }
-
-    /// One block-cache set per shard, for [`ShardedSnapshot::probe_bounds`].
-    /// Callers probing concurrently (e.g. one serving connection per
-    /// tenant) hold their own set; the snapshot itself stays shared.
-    pub fn new_cache_set(&self) -> Vec<Vec<BlockCache<T>>> {
-        self.shards.iter().map(|s| s.new_caches()).collect()
     }
 
     /// Every per-source view this snapshot's combined summary is built
@@ -634,85 +604,9 @@ impl<T: Item, D: BlockDevice> ShardedSnapshot<T, D> {
         &self,
         window_steps: u64,
     ) -> Option<(Vec<crate::bounds::SourceView<T>>, u64)> {
-        let plan = self.window_plan(window_steps)?;
-        let mut sources = Vec::new();
-        for (s, idx) in self.shards.iter().zip(&plan.parts) {
-            for &i in idx {
-                sources.push(crate::bounds::SourceView::from_partition(
-                    &s.partition_at(i).summary,
-                ));
-            }
-            sources.push(crate::bounds::SourceView::from_stream(s.stream_summary()));
-        }
-        Some((sources, plan.total))
-    }
-
-    /// Block caches shaped for [`ShardedSnapshot::window_probe_bounds`]
-    /// (per shard, one cache per in-window partition, the shard's cache
-    /// budget split across them). `None` when the window misaligns.
-    pub fn window_cache_set(&self, window_steps: u64) -> Option<Vec<Vec<BlockCache<T>>>> {
-        let plan = self.window_plan(window_steps)?;
-        Some(
-            self.shards
-                .iter()
-                .zip(&plan.parts)
-                .map(|(s, idx)| {
-                    let per = (s.cache_blocks() / idx.len().max(1)).max(2);
-                    idx.iter().map(|_| BlockCache::new(per)).collect()
-                })
-                .collect(),
-        )
-    }
-
-    /// Summed windowed `rank(z)` bounds across shards — the per-node
-    /// probe of the networked *windowed* fan-in, summing
-    /// [`crate::query::union_rank_bounds`] over each shard's in-window
-    /// partitions plus its stream summary (exactly the sum
-    /// [`ShardedSnapshot::rank_in_window`] bisects over). `caches` from
-    /// [`ShardedSnapshot::window_cache_set`]; `None` when the window
-    /// misaligns.
-    pub fn window_probe_bounds(
-        &self,
-        window_steps: u64,
-        z: T,
-        caches: &mut [Vec<BlockCache<T>>],
-    ) -> io::Result<Option<(u64, u64)>> {
-        let Some(plan) = self.window_plan(window_steps) else {
-            return Ok(None);
-        };
-        let per_shard: Vec<Vec<&crate::warehouse::StoredPartition<T>>> = plan
-            .parts
-            .iter()
-            .zip(&self.shards)
-            .map(|(idx, s)| idx.iter().map(|&i| s.partition_at(i)).collect())
-            .collect();
-        let per_shard = &per_shard;
-        let probe_one = |i: usize, cache: &mut Vec<BlockCache<T>>| {
-            crate::query::union_rank_bounds(
-                &**self.shards[i].device(),
-                &per_shard[i],
-                self.shards[i].stream_summary(),
-                z,
-                cache,
-            )
-        };
-        let results = if self.parallel && self.shards.len() > 1 {
-            crate::parallel::par_map_mut(caches, |i, c| probe_one(i, c))
-        } else {
-            caches
-                .iter_mut()
-                .enumerate()
-                .map(|(i, c)| probe_one(i, c))
-                .collect()
-        };
-        let mut lo = 0u64;
-        let mut hi = 0u64;
-        for res in results {
-            let (l, h) = res?;
-            lo += l;
-            hi += h;
-        }
-        Ok(Some((lo, hi)))
+        let views = self.views(Some(window_steps))?;
+        let sources = views.iter().flat_map(|v| v.sources()).collect();
+        Some((sources, self.window_total(window_steps)?))
     }
 
     /// Window sizes (in snapshot-time steps) answerable exactly across
@@ -734,9 +628,9 @@ impl<T: Item, D: BlockDevice> ShardedSnapshot<T, D> {
     }
 
     /// The cached query plan for `window_steps`: every shard's window
-    /// partition selection plus the windowed combined summary and total,
-    /// computed once per (snapshot, window size). `None` — also cached —
-    /// when any shard's partitions misalign with the boundary.
+    /// partition selection plus the windowed combined summary, computed
+    /// once per (snapshot, window size). `None` — also cached — when any
+    /// shard's partitions misalign with the boundary.
     fn window_plan(&self, window_steps: u64) -> Option<Arc<WindowPlan<T>>> {
         if let Some(cached) = self.window_plans.lock().unwrap().get(&window_steps) {
             return cached.clone();
@@ -756,7 +650,6 @@ impl<T: Item, D: BlockDevice> ShardedSnapshot<T, D> {
 
     fn build_window_plan(&self, window_steps: u64) -> Option<WindowPlan<T>> {
         let mut parts = Vec::with_capacity(self.shards.len());
-        let mut total = self.stream_len();
         let mut sources: Vec<crate::bounds::SourceView<T>> = Vec::new();
         for s in &self.shards {
             // Quarantined partitions stay out of the plan: windowed
@@ -766,18 +659,15 @@ impl<T: Item, D: BlockDevice> ShardedSnapshot<T, D> {
                 .into_iter()
                 .filter(|&i| !s.is_quarantined(s.partition_at(i).run.file()))
                 .collect();
-            for &i in &idx {
-                let p = s.partition_at(i);
-                total += p.run.len();
-                sources.push(crate::bounds::SourceView::from_partition(&p.summary));
-            }
-            sources.push(crate::bounds::SourceView::from_stream(s.stream_summary()));
+            sources.extend(
+                s.view(idx.iter().map(|&i| s.partition_at(i)).collect())
+                    .sources(),
+            );
             parts.push(idx);
         }
         Some(WindowPlan {
             parts,
-            total,
-            ts: CombinedSummary::build(&sources),
+            ts: Arc::new(CombinedSummary::build(&sources)),
         })
     }
 
@@ -785,7 +675,7 @@ impl<T: Item, D: BlockDevice> ShardedSnapshot<T, D> {
     /// steps across all shards; `None` when any shard's partitions
     /// misalign with the window boundary.
     pub fn window_total(&self, window_steps: u64) -> Option<u64> {
-        self.window_plan(window_steps).map(|p| p.total)
+        self.window_plan(window_steps).map(|p| p.ts.total())
     }
 
     /// Accurate φ-quantile over the union of every shard's live stream
@@ -795,14 +685,8 @@ impl<T: Item, D: BlockDevice> ShardedSnapshot<T, D> {
     /// windowed union.
     pub fn quantile_in_window(&self, window_steps: u64, phi: f64) -> io::Result<Option<T>> {
         assert!(phi > 0.0 && phi <= 1.0, "phi must be in (0, 1]");
-        let Some(plan) = self.window_plan(window_steps) else {
-            return Ok(None);
-        };
-        if plan.total == 0 {
-            return Ok(None);
-        }
-        let r = (phi * plan.total as f64).ceil() as u64;
-        Ok(self.rank_in_window_over(&plan, r)?.map(|o| o.value))
+        let ctx = self.context(Some(window_steps));
+        ctx.map_or(Ok(None), |ctx| ctx.quantile(phi))
     }
 
     /// Accurate cross-shard rank query over a window: the same fan-in
@@ -810,94 +694,8 @@ impl<T: Item, D: BlockDevice> ShardedSnapshot<T, D> {
     /// bounds summed over each shard's window partitions plus its stream
     /// summary.
     pub fn rank_in_window(&self, window_steps: u64, r: u64) -> io::Result<Option<QueryOutcome<T>>> {
-        let Some(plan) = self.window_plan(window_steps) else {
-            return Ok(None);
-        };
-        if plan.total == 0 {
-            return Ok(None);
-        }
-        self.rank_in_window_over(&plan, r)
-    }
-
-    /// The windowed fan-in over a cached [`WindowPlan`]: honors the
-    /// configured cache budget (each shard's `cache_blocks` split across
-    /// its window partitions, as in [`EngineSnapshot::new_caches`]) and
-    /// probes shards concurrently when `parallel_query` is set, exactly
-    /// like the full-union path.
-    fn rank_in_window_over(
-        &self,
-        plan: &WindowPlan<T>,
-        r: u64,
-    ) -> io::Result<Option<QueryOutcome<T>>> {
-        let m = self.stream_len();
-        let r = r.clamp(1, plan.total);
-        let marks = self.io_marks();
-
-        // Per-shard partition refs resolved from the plan's indices.
-        let per_shard: Vec<Vec<&crate::warehouse::StoredPartition<T>>> = plan
-            .parts
-            .iter()
-            .zip(&self.shards)
-            .map(|(idx, s)| idx.iter().map(|&i| s.partition_at(i)).collect())
-            .collect();
-        let per_shard = &per_shard;
-        // Filters from the plan's cached windowed combined summary.
-        let (u, v) = plan.ts.seed_bracket(r);
-
-        let mut caches: Vec<Vec<BlockCache<T>>> = self
-            .shards
-            .iter()
-            .zip(per_shard)
-            .map(|(s, parts)| {
-                let per = (s.cache_blocks() / parts.len().max(1)).max(2);
-                parts.iter().map(|_| BlockCache::new(per)).collect()
-            })
-            .collect();
-        let eps_m = (self.epsilon * m as f64).floor() as u64;
-        let probe_one = |i: usize, cache: &mut Vec<BlockCache<T>>, z: T| {
-            crate::query::union_rank_bounds(
-                &**self.shards[i].device(),
-                &per_shard[i],
-                self.shards[i].stream_summary(),
-                z,
-                cache,
-            )
-        };
-        let mut probe = |z| {
-            let results = if self.parallel && self.shards.len() > 1 {
-                crate::parallel::par_map_mut(&mut caches, |i, c| probe_one(i, c, z))
-            } else {
-                caches
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(i, c)| probe_one(i, c, z))
-                    .collect()
-            };
-            let mut lo = 0u64;
-            let mut hi = 0u64;
-            for res in results {
-                let (l, h) = res?;
-                lo += l;
-                hi += h;
-            }
-            Ok((lo, hi))
-        };
-        let (value, estimated_rank, steps) =
-            crate::query::bisect_summed_rank(r, eps_m, u, v, &mut probe)?;
-
-        let quarantined = self.quarantined_total();
-        Ok(Some(QueryOutcome {
-            value,
-            io: self.io_since(&marks),
-            bisection_steps: steps,
-            estimated_rank,
-            prefetch_hits: 0,
-            prefetch_wasted: 0,
-            rank_lo: estimated_rank.saturating_sub(eps_m),
-            rank_hi: estimated_rank + eps_m + quarantined,
-            degraded: quarantined > 0,
-            quarantined,
-        }))
+        let ctx = self.context(Some(window_steps));
+        ctx.map_or(Ok(None), |ctx| ctx.accurate_rank(r))
     }
 }
 
@@ -1205,15 +1003,19 @@ mod tests {
                 .cache_blocks(128)
                 .parallel_query(parallel)
                 .build();
-            let mut e = ShardedEngine::<u64, _>::with_shards(4, cfg, |_| MemDevice::new(256));
+            let mut e =
+                ShardedEngine::<u64, _>::with_shards(4, cfg.clone(), |_| MemDevice::new(256));
+            let mut h = HistStreamQuantiles::<u64, _>::new(MemDevice::new(256), cfg);
             for step in 0..13u64 {
                 e.ingest_step(&gen_stream(step + 3, 300)).unwrap();
+                h.ingest_step(&gen_stream(step + 3, 300)).unwrap();
             }
             e.stream_extend(&gen_stream(777, 150));
-            e
+            h.stream_extend(&gen_stream(777, 150));
+            (e, h)
         };
-        let serial = mk(false);
-        let parallel = mk(true);
+        let (serial, serial_h) = mk(false);
+        let (parallel, parallel_h) = mk(true);
         for w in serial.available_windows() {
             for phi in [0.1, 0.5, 0.9] {
                 assert_eq!(
@@ -1224,6 +1026,19 @@ mod tests {
             }
             let a = serial.rank_in_window(w, 100).unwrap().unwrap();
             let b = parallel.rank_in_window(w, 100).unwrap().unwrap();
+            assert_eq!(a.value, b.value);
+            assert_eq!(a.estimated_rank, b.estimated_rank);
+        }
+        for w in serial_h.available_windows() {
+            for phi in [0.1, 0.5, 0.9] {
+                assert_eq!(
+                    serial_h.quantile_in_window(w, phi).unwrap(),
+                    parallel_h.quantile_in_window(w, phi).unwrap(),
+                    "engine window {w} phi {phi}"
+                );
+            }
+            let a = serial_h.rank_in_window(w, 100).unwrap().unwrap();
+            let b = parallel_h.rank_in_window(w, 100).unwrap().unwrap();
             assert_eq!(a.value, b.value);
             assert_eq!(a.estimated_rank, b.estimated_rank);
         }

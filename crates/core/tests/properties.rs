@@ -189,7 +189,7 @@ proptest! {
                 .copied()
                 .collect();
             win_data.sort_unstable();
-            let med = h.quantile_window(0.5, w).unwrap().unwrap();
+            let med = h.quantile_in_window(w, 0.5).unwrap().unwrap();
             // Stream empty -> m = 0 -> exact (Definition 1).
             let r = (0.5 * win_data.len() as f64).ceil() as u64;
             let dist = rank_distance(&win_data, med, r);

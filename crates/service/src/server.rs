@@ -306,29 +306,16 @@ fn handle_request<T: Item, D: BlockDevice>(
             let key = (tenant, epoch, window);
             let set = match caches.entry(key) {
                 std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let set = match window {
-                        None => snap.new_cache_set(),
-                        Some(w) => match snap.window_cache_set(w) {
-                            Some(set) => set,
-                            None => return Response::WindowUnavailable,
-                        },
-                    };
-                    e.insert(set)
-                }
+                std::collections::hash_map::Entry::Vacant(e) => match snap.new_cache_set(window) {
+                    Some(set) => e.insert(set),
+                    None => return Response::WindowUnavailable,
+                },
             };
             let mut bounds = Vec::with_capacity(zs.len());
             for z in zs {
-                let b = match window {
-                    None => snap.probe_bounds(z, set),
-                    Some(w) => match snap.window_probe_bounds(w, z, set) {
-                        Ok(Some(b)) => Ok(b),
-                        Ok(None) => return Response::WindowUnavailable,
-                        Err(e) => Err(e),
-                    },
-                };
-                match b {
-                    Ok(b) => bounds.push(b),
+                match snap.probe_bounds(window, z, set) {
+                    Ok(Some(b)) => bounds.push(b),
+                    Ok(None) => return Response::WindowUnavailable,
                     Err(e) => {
                         return Response::Error {
                             message: format!("probe failed: {e}"),

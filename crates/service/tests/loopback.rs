@@ -5,7 +5,8 @@
 //! identical combined summary and runs the identical bisection, just
 //! with probes over TCP. A multi-node fleet (differently partitioned
 //! data) is additionally held to Theorem 2's `ε·m` bound against a
-//! sorted oracle.
+//! sorted oracle, and a degraded node (one partition quarantined) still
+//! byte-matches in-process with intervals that contain a true rank.
 
 use std::net::TcpListener;
 
@@ -430,4 +431,61 @@ fn server_survives_garbage_and_torn_frames() {
         other => panic!("expected Error, got {other:?}"),
     }
     handle.shutdown();
+}
+
+/// Steps `0..1000`, `1000..2000` and `1_000_000..1_001_000`, then a live
+/// stream of 400 items `i * 5`, with shard 0's newest partition
+/// quarantined. Returns the engine and the sorted full-union oracle.
+fn quarantined_newest(shards: usize) -> (ShardedEngine<u64, MemDevice>, Vec<u64>) {
+    let cfg = HsqConfig::builder()
+        .epsilon(0.05)
+        .merge_threshold(3)
+        .build();
+    let mut e = ShardedEngine::<u64, _>::with_shards(shards, cfg, |_| MemDevice::new(256));
+    let mut oracle = Vec::new();
+    for range in [0..1000u64, 1000..2000, 1_000_000..1_001_000] {
+        let batch: Vec<u64> = range.collect();
+        oracle.extend_from_slice(&batch);
+        e.ingest_step(&batch).unwrap();
+    }
+    let live: Vec<u64> = (0..400u64).map(|i| i * 5).collect();
+    oracle.extend_from_slice(&live);
+    e.stream_extend(&live);
+    let file = e.shard(0).warehouse().partitions_newest_first()[0]
+        .run
+        .file();
+    assert!(e.shard(0).warehouse().quarantine(file));
+    oracle.sort_unstable();
+    (e, oracle)
+}
+
+/// A served node with quarantined data: probes bound the readable union
+/// and the outcome widens by the quarantined mass once, so served answers
+/// equal in-process ones and their intervals contain a true rank.
+#[test]
+fn degraded_served_intervals_match_in_process_and_contain_a_true_rank() {
+    for shards in [1usize, 3] {
+        let (local, oracle) = quarantined_newest(shards);
+        let handle = spawn_node(quarantined_newest(shards).0);
+        let mut coord = Coordinator::<u64>::connect(&[handle.addr()]).unwrap();
+        let mut sess = coord.session(1).unwrap();
+        let snap = local.snapshot();
+        for r in [100u64, 500, 1000, 1500, 2000, 2300] {
+            let what = format!("{shards} shards rank {r}");
+            let served = sess.rank_query(r).unwrap().unwrap().outcome;
+            assert_outcome_eq(&served, &snap.rank_query(r).unwrap().unwrap(), &what);
+            assert!(served.degraded && served.quarantined > 0, "{what}");
+            let lt = oracle.partition_point(|&x| x < served.value) as u64;
+            let le = oracle.partition_point(|&x| x <= served.value) as u64;
+            assert!(
+                served.rank_lo <= le && (lt + 1).min(le) <= served.rank_hi,
+                "{what}: value {} has true ranks [{}, {le}], claimed [{}, {}]",
+                served.value,
+                lt + 1,
+                served.rank_lo,
+                served.rank_hi
+            );
+        }
+        handle.shutdown();
+    }
 }

@@ -4,7 +4,8 @@
 //! degraded with rank bounds widened by exactly the quarantined mass),
 //! scrub repair must salvage everything except the rotted block, and
 //! deterministic flaky reads must be fully masked by the retry layers
-//! with zero query-visible failures.
+//! with zero query-visible failures. Degraded cross-shard answers must
+//! carry rank intervals that contain a true rank of the value.
 
 use std::io;
 use std::sync::Arc;
@@ -319,5 +320,54 @@ fn flaky_reads_sweep_sharded_windows_masked_with_zero_failures() {
             retries > 0,
             "seed {seed} rate {rate}: flaky reads must have been retried"
         );
+    }
+}
+
+/// Steps `0..1000`, `1000..2000` and `1_000_000..1_001_000`, then a live
+/// stream of 400 items `i * 5`; the newest partition of shard 0 is
+/// quarantined. Returns the engine and the sorted full-union oracle.
+fn quarantined_newest(shards: usize) -> (ShardedEngine<u64, MemDevice>, Vec<u64>) {
+    let cfg = HsqConfig::builder()
+        .epsilon(0.05)
+        .merge_threshold(3)
+        .build();
+    let mut e = ShardedEngine::<u64, _>::with_shards(shards, cfg, |_| MemDevice::new(256));
+    let mut oracle = Vec::new();
+    for range in [0..1000u64, 1000..2000, 1_000_000..1_001_000] {
+        let batch: Vec<u64> = range.collect();
+        oracle.extend_from_slice(&batch);
+        e.ingest_step(&batch).unwrap();
+    }
+    let live: Vec<u64> = (0..400u64).map(|i| i * 5).collect();
+    oracle.extend_from_slice(&live);
+    e.stream_extend(&live);
+    let file = e.shard(0).warehouse().partitions_newest_first()[0]
+        .run
+        .file();
+    assert!(e.shard(0).warehouse().quarantine(file));
+    oracle.sort_unstable();
+    (e, oracle)
+}
+
+/// The quarantined mass widens `rank_hi` exactly once: the interval a
+/// degraded sharded answer claims contains a true rank of its value.
+#[test]
+fn degraded_sharded_intervals_contain_a_true_rank() {
+    for shards in [1usize, 3] {
+        let (e, oracle) = quarantined_newest(shards);
+        for r in [100u64, 500, 1000, 1500, 2000, 2300] {
+            let o = e.rank_query(r).unwrap().unwrap();
+            assert!(o.degraded && o.quarantined > 0, "{shards} shards rank {r}");
+            let lt = oracle.partition_point(|&x| x < o.value) as u64;
+            let le = oracle.partition_point(|&x| x <= o.value) as u64;
+            assert!(
+                o.rank_lo <= le && (lt + 1).min(le) <= o.rank_hi,
+                "{shards} shards rank {r}: value {} has true ranks [{}, {le}], claimed [{}, {}]",
+                o.value,
+                lt + 1,
+                o.rank_lo,
+                o.rank_hi
+            );
+        }
     }
 }

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use hsq::core::{HsqConfig, ShardedEngine};
+use hsq::core::{HistStreamQuantiles, HsqConfig, QueryOutcome, ShardedEngine};
 use hsq::sketch::ExactQuantiles;
 use hsq::storage::{FileDevice, MemDevice};
 use hsq::workload::{Dataset, TimeStepDriver};
@@ -195,4 +195,86 @@ fn sharded_windows_align_across_shards() {
         assert_eq!(engine.shard(s).available_windows(), w0);
     }
     assert_eq!(w0, vec![1, 4, 13]);
+}
+
+/// Everything an outcome claims except its I/O cost.
+fn claim(o: &QueryOutcome<u64>) -> (u64, u64, u32, u64, u64, bool, u64) {
+    (
+        o.value,
+        o.estimated_rank,
+        o.bisection_steps,
+        o.rank_lo,
+        o.rank_hi,
+        o.degraded,
+        o.quarantined,
+    )
+}
+
+/// One read path: the live engine, its `EngineSnapshot` and a one-shard
+/// `ShardedSnapshot` fed the same data answer every full-union and
+/// windowed rank query identically — healthy, and with the newest
+/// partition quarantined on both.
+#[test]
+fn engine_snapshot_and_one_shard_snapshot_answer_identically() {
+    let cfg = HsqConfig::builder()
+        .epsilon(0.01)
+        .merge_threshold(3)
+        .build();
+    let mut engine = HistStreamQuantiles::<u64, _>::new(MemDevice::new(4096), cfg.clone());
+    let mut sharded = ShardedEngine::<u64, _>::with_shards(1, cfg, |_| MemDevice::new(4096));
+    let mut gen = Dataset::Uniform.generator(41);
+    for _ in 0..13 {
+        let batch = gen.take_vec(5_000);
+        engine.ingest_step(&batch).unwrap();
+        sharded.ingest_step(&batch).unwrap();
+    }
+    let live = gen.take_vec(5_000);
+    engine.stream_extend(&live);
+    sharded.stream_extend(&live);
+
+    for quarantined in [false, true] {
+        if quarantined {
+            let file = engine.warehouse().partitions_newest_first()[0].run.file();
+            assert!(engine.warehouse().quarantine(file));
+            let file = sharded.shard(0).warehouse().partitions_newest_first()[0]
+                .run
+                .file();
+            assert!(sharded.shard(0).warehouse().quarantine(file));
+        }
+        let snap = engine.snapshot();
+        let ssnap = sharded.snapshot();
+        let n = engine.total_len();
+        for i in 1..200u64 {
+            let r = n * i / 200;
+            let e = engine.rank_query(r).unwrap().unwrap();
+            let what = format!("rank {r} (quarantined: {quarantined})");
+            assert_eq!(e.degraded, quarantined, "{what}");
+            assert_eq!(
+                claim(&e),
+                claim(&snap.rank_query(r).unwrap().unwrap()),
+                "{what}"
+            );
+            assert_eq!(
+                claim(&e),
+                claim(&ssnap.rank_query(r).unwrap().unwrap()),
+                "{what}"
+            );
+        }
+        let windows = engine.available_windows();
+        assert!(windows.len() > 1, "windows {windows:?}");
+        assert_eq!(snap.available_windows(), windows);
+        assert_eq!(ssnap.available_windows(), windows);
+        for &w in &windows {
+            let wn = ssnap.window_total(w).unwrap();
+            for i in 1..10u64 {
+                let r = wn * i / 10;
+                let e = engine.rank_in_window(w, r).unwrap().unwrap();
+                let what = format!("window {w} rank {r} (quarantined: {quarantined})");
+                let s = snap.rank_in_window(w, r).unwrap().unwrap();
+                let ss = ssnap.rank_in_window(w, r).unwrap().unwrap();
+                assert_eq!(claim(&e), claim(&s), "{what}");
+                assert_eq!(claim(&e), claim(&ss), "{what}");
+            }
+        }
+    }
 }

@@ -19,10 +19,10 @@ use std::io;
 use std::sync::Arc;
 use std::time::Instant;
 
-use hsq_storage::{corruption_in, is_transient, BlockCache, BlockDevice, FileId, Item};
+use hsq_storage::{corruption_in, is_transient, BlockDevice, FileId, Item};
 
 use crate::config::HsqConfig;
-use crate::query::{QueryContext, QueryOutcome, RankProbeSource, ShardView};
+use crate::query::{QueryContext, QueryOutcome, ShardView};
 use crate::stream::{StreamProcessor, StreamSummary};
 use crate::warehouse::{PinGuard, StoredPartition, UpdateReport, Warehouse};
 
@@ -677,25 +677,6 @@ impl<T: Item, D: BlockDevice> EngineSnapshot<T, D> {
         self.view(self.healthy()).sources()
     }
 
-    /// One decoded-block cache per (healthy) partition, splitting the
-    /// configured budget — reuse across probes of one logical query.
-    pub fn new_caches(&self) -> Vec<BlockCache<T>> {
-        self.view(self.healthy()).new_caches(self.cache_blocks)
-    }
-
-    /// Rigorous bounds on `rank(z, T)` at snapshot time: exact disk ranks
-    /// (summary-narrowed, cache-served) plus the stream's tracked interval.
-    /// Quarantined partitions are skipped; the upper bound widens by the
-    /// quarantined mass, since every unreadable item could be ≤ `z`.
-    /// `caches` must come from [`EngineSnapshot::new_caches`].
-    pub fn rank_bounds(&self, z: T, caches: &mut [BlockCache<T>]) -> io::Result<(u64, u64)> {
-        let (lo, hi) = self
-            .view(self.healthy())
-            .probes(caches, false, None)
-            .probe(z)?;
-        Ok((lo, hi + self.quarantined_mass()))
-    }
-
     /// A query context over the whole readable snapshot, or over the
     /// newest `window` pinned steps (`None` on misalignment).
     fn context(&self, window: Option<u64>) -> Option<QueryContext<'_, T, D>> {
@@ -858,6 +839,7 @@ fn merge_sorted_segments<T: Item>(data: Vec<T>, seg_ends: &[usize]) -> Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::RankProbeSource;
     use hsq_storage::MemDevice;
 
     fn engine(eps: f64, kappa: usize) -> HistStreamQuantiles<u64, MemDevice> {
@@ -1337,10 +1319,12 @@ mod tests {
             h.stream_update(v);
         }
         let snap = h.snapshot();
-        let mut caches = snap.new_caches();
+        let view = snap.view(snap.healthy());
+        let mut caches = view.new_caches(snap.cache_blocks);
+        let mut probes = view.probes(&mut caches, false, None);
         for z in [0u64, 123, 999, 1500, 1999, 5000] {
             let truth = all.iter().filter(|&&x| x <= z).count() as u64;
-            let (lo, hi) = snap.rank_bounds(z, &mut caches).unwrap();
+            let (lo, hi) = probes.probe(z).unwrap();
             assert!(
                 lo <= truth && truth <= hi,
                 "z={z}: {truth} outside [{lo},{hi}]"

@@ -148,9 +148,7 @@ impl<'a, T: Item, D: BlockDevice> ShardView<'a, T, D> {
             view: self,
             caches,
             parallel,
-            lo: None,
-            hi: None,
-            last: None,
+            known: Vec::new(),
             prefetch: prefetch.zip(self.sched.map(SpecPrefetcher::new)),
         }
     }
@@ -224,9 +222,9 @@ impl<'a, T: Item, D: BlockDevice> QueryContext<'a, T, D> {
 
     /// Enable speculative bisection prefetch through `sched` (must
     /// schedule over the same device as this context): each bisection
-    /// step submits the first block read of both candidate half-probes
-    /// of the next step wherever that block is already certain, so the
-    /// direction the search takes finds its block warm. Answers are identical with or without
+    /// step submits the first block read of **both** candidate
+    /// half-probes of the next step, so whichever direction the search
+    /// takes finds its block warm. Answers are identical with or without
     /// prefetch — only the device round-trip latency moves off the
     /// critical path. No-op when `None`.
     pub fn with_prefetch(mut self, sched: Option<&'a IoScheduler>) -> Self {
@@ -268,13 +266,15 @@ impl<'a, T: Item, D: BlockDevice> QueryContext<'a, T, D> {
         self.ts.quick_response(r.clamp(1, self.total().max(1)))
     }
 
-    /// Accurate φ-quantiles at ranks `⌈φ·n⌉`, one bisection each.
+    /// Accurate φ-quantiles at ranks `⌈φ·n⌉`, one bisection each; the
+    /// batch shares one block-cache set.
     pub(crate) fn quantiles(&self, phis: &[f64], n: u64) -> io::Result<Vec<Option<T>>> {
+        let mut caches = self.new_caches();
         phis.iter()
             .map(|&phi| {
                 assert!(phi > 0.0 && phi <= 1.0, "phi must be in (0, 1]");
                 let r = (phi * n as f64).ceil() as u64;
-                Ok(self.accurate_rank(r)?.map(|o| o.value))
+                Ok(self.accurate_rank_with(r, &mut caches)?.map(|o| o.value))
             })
             .collect()
     }
@@ -287,6 +287,24 @@ impl<'a, T: Item, D: BlockDevice> QueryContext<'a, T, D> {
     /// Algorithm 6: accurate response for 1-based rank `r`.
     /// Error O(ε·m) (Lemma 5, Theorem 2).
     pub fn accurate_rank(&self, r: u64) -> io::Result<Option<QueryOutcome<T>>> {
+        self.accurate_rank_with(r, &mut self.new_caches())
+    }
+
+    /// One block-cache set per shard (see [`ShardView::new_caches`]).
+    fn new_caches(&self) -> Vec<Vec<BlockCache<T>>> {
+        self.shards
+            .iter()
+            .map(|s| s.new_caches(self.cache_blocks))
+            .collect()
+    }
+
+    /// [`QueryContext::accurate_rank`] through `caches` from
+    /// [`QueryContext::new_caches`], which a batch of queries shares.
+    fn accurate_rank_with(
+        &self,
+        r: u64,
+        caches: &mut [Vec<BlockCache<T>>],
+    ) -> io::Result<Option<QueryOutcome<T>>> {
         let total = self.total();
         if total == 0 {
             return Ok(None);
@@ -305,14 +323,9 @@ impl<'a, T: Item, D: BlockDevice> QueryContext<'a, T, D> {
         };
         let m: u64 = self.shards.iter().map(|s| s.stream.stream_len()).sum();
         let eps_m = (self.epsilon * m as f64).floor() as u64;
-        let mut caches: Vec<_> = self
-            .shards
-            .iter()
-            .map(|s| s.new_caches(self.cache_blocks))
-            .collect();
         // A degenerate bracket is answered by one probe: nothing to prefetch.
         let prefetch = (u < v).then_some((u, v));
-        let mut probes = FanIn::new(&self.shards, &mut caches, self.parallel, prefetch);
+        let mut probes = FanIn::new(&self.shards, caches, self.parallel, prefetch);
         let (value, estimated_rank, bisection_steps) =
             bisect_summed_rank(r, eps_m, u, v, &mut probes)?;
         let (prefetch_hits, prefetch_wasted) = probes.finish();
@@ -388,30 +401,23 @@ impl<T: Item, D: BlockDevice> RankProbeSource<T> for FanIn<'_, T, D> {
 /// (narrowed, cache-served binary searches) plus the stream summary's
 /// tracked interval, over the readable data of a [`ShardView`].
 ///
-/// The source remembers the exact per-partition ranks of earlier probes.
-/// Rank is monotone in `z`, so when the next probe lies left of the last
-/// one (the bisection recursed left) the last probe's ranks cap every
-/// window, and when it lies to the right they floor them. Each window is
-/// the summary's `narrow(z, z)` intersected with those bounds; a bound
-/// whose probe lies on the wrong side of `z` is ignored, so any probe
-/// sequence stays exact.
+/// The source remembers the exact per-partition ranks of this query's
+/// earlier probes. Rank is monotone in `z`, so the nearest earlier probe
+/// at or left of `z` floors every window and the nearest at or right of
+/// it caps them; each window is the summary's `narrow(z, z)` intersected
+/// with those bounds, and any probe sequence stays exact. Under the
+/// bisection those nearest probes are the ends of the bracket `z` splits.
 ///
-/// With prefetch on, the source also knows the bisection's seed bracket,
-/// so after each probe it can bound the value range of both candidate
-/// next probes and speculate on their first block reads.
+/// With prefetch on, the source also knows the seed bracket, so after
+/// each probe it knows both candidate next probes exactly (see
+/// [`next_probes`]) and speculates on their first block reads.
 pub(crate) struct ShardProbes<'c, T: Item, D: BlockDevice> {
     view: &'c ShardView<'c, T, D>,
     caches: &'c mut [BlockCache<T>],
     /// Probe the partitions concurrently.
     parallel: bool,
-    /// The latest earlier probe that a later probe lay right of, with
-    /// its per-partition ranks (window floors).
-    lo: Option<(T, Vec<u64>)>,
-    /// The latest earlier probe that a later probe lay left of or at
-    /// (window caps).
-    hi: Option<(T, Vec<u64>)>,
-    /// The previous probe, folded into `lo` or `hi` by the next one.
-    last: Option<(T, Vec<u64>)>,
+    /// Earlier probes of this query with their per-partition ranks.
+    known: Vec<(T, Vec<u64>)>,
     /// The seed bracket `(u, v)`, with the prefetcher it guides.
     prefetch: Option<((T, T), SpecPrefetcher<'c, T>)>,
 }
@@ -421,34 +427,43 @@ impl<T: Item, D: BlockDevice> ShardProbes<'_, T, D> {
     fn finish(self) -> (u32, u32) {
         self.prefetch.map_or((0, 0), |(_, pf)| pf.finish())
     }
+
+    /// Each partition's search window for a probe at `z`: the summary's
+    /// `narrow(z, z)` intersected with the ranks of the nearest earlier
+    /// probes on either side.
+    fn windows(&self, z: T) -> Vec<(u64, u64)> {
+        let lo = self.known.iter().filter(|k| k.0 <= z).max_by_key(|k| k.0);
+        let hi = self.known.iter().filter(|k| z <= k.0).min_by_key(|k| k.0);
+        self.view
+            .partitions
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let (nlo, nhi) = p.summary.narrow(z, z);
+                (
+                    lo.map_or(0, |(_, ranks)| ranks[i]).max(nlo),
+                    hi.map_or(p.run.len(), |(_, ranks)| ranks[i]).min(nhi),
+                )
+            })
+            .collect()
+    }
 }
 
 impl<T: Item, D: BlockDevice> RankProbeSource<T> for ShardProbes<'_, T, D> {
     fn probe(&mut self, z: T) -> io::Result<(u64, u64)> {
-        if let Some((at, ranks)) = self.last.take() {
-            if z <= at {
-                self.hi = Some((at, ranks));
-            } else {
-                self.lo = Some((at, ranks));
-            }
-        }
+        let windows = self.windows(z);
+        // The bracket `z` splits: the nearest earlier probes at or left
+        // of and right of `z`, or the seed bracket's ends.
+        let bracket = self.prefetch.as_ref().map(|&((u, v), _)| {
+            let probed = || self.known.iter().map(|k| k.0);
+            let below = probed().filter(|&at| at <= z).max();
+            (
+                below.unwrap_or(u),
+                probed().filter(|&at| at > z).min().unwrap_or(v),
+            )
+        });
         let view = self.view;
         let parts = &view.partitions;
-        let lo = self.lo.as_ref().filter(|(at, _)| *at <= z);
-        let hi = self.hi.as_ref().filter(|(at, _)| z <= *at);
-        // `bounds`: what earlier probes prove; `windows`: that,
-        // intersected with the summary's narrow(z, z).
-        let mut bounds = Vec::with_capacity(parts.len());
-        let mut windows = Vec::with_capacity(parts.len());
-        for (i, p) in parts.iter().enumerate() {
-            let b = (
-                lo.map_or(0, |(_, ranks)| ranks[i]),
-                hi.map_or(p.run.len(), |(_, ranks)| ranks[i]),
-            );
-            let (nlo, nhi) = p.summary.narrow(z, z);
-            bounds.push(b);
-            windows.push((b.0.max(nlo), b.1.min(nhi)));
-        }
         let bs = view.dev.block_size();
         // Consume the speculative reads matching this probe before the
         // synchronous path looks for their blocks.
@@ -464,32 +479,18 @@ impl<T: Item, D: BlockDevice> RankProbeSource<T> for ShardProbes<'_, T, D> {
             }
             ranks
         };
-        // Speculate on the next probe while the bisection's acceptance
-        // arithmetic runs. It lies in `[u, z]` (windows capped at this
-        // probe's ranks) or in `[z, v]` (floored at them); each candidate
-        // is given by its windows at the two ends of its value range.
-        if let Some(((u0, v0), pf)) = self.prefetch.as_mut() {
-            let u = lo.map_or(*u0, |(at, _)| *at).min(z);
-            let v = hi.map_or(*v0, |(at, _)| *at).max(z);
-            let candidates: Vec<_> = parts
-                .iter()
-                .zip(&bounds)
-                .zip(&ranks)
-                .map(|((p, &(blo, bhi)), &pr)| {
-                    let window = |(lo, hi): (u64, u64), at: T| {
-                        let (nlo, nhi) = p.summary.narrow(at, at);
-                        (lo.max(nlo), hi.min(nhi))
-                    };
-                    [
-                        [window((blo, pr), u), window((blo, pr), z)],
-                        [window((pr, bhi), z), window((pr, bhi), v)],
-                    ]
-                })
-                .collect();
-            pf.speculate(parts, &candidates, bs, self.caches);
-        }
         let rho1: u64 = ranks.iter().sum();
-        self.last = Some((z, ranks));
+        self.known.push((z, ranks));
+        // Speculate on the next probe while the bisection's acceptance
+        // arithmetic runs: the kernel's two candidate next probes are
+        // known exactly, and so are their windows.
+        if let Some((u, v)) = bracket {
+            let [left, right] = next_probes(u, z, v).map(|c| self.windows(c));
+            let candidates: Vec<_> = left.into_iter().zip(right).map(<[_; 2]>::from).collect();
+            if let Some((_, pf)) = self.prefetch.as_mut() {
+                pf.speculate(parts, &candidates, bs, self.caches);
+            }
+        }
         let (lo2, hi2) = view.stream.rank_bounds(z);
         Ok((rho1 + lo2, rho1 + hi2))
     }
@@ -503,9 +504,9 @@ impl<T: Item, D: BlockDevice> RankProbeSource<T> for ShardProbes<'_, T, D> {
 ///
 /// The first block a narrowed [`partition_rank`] search reads is fully
 /// determined by the rank window (`mid = lo + (hi-lo)/2`, block =
-/// `mid / per`). Only blocks that are certain for a candidate are
-/// submitted (see [`SpecPrefetcher::speculate`]), so whichever candidate
-/// the bisection takes, its submission is that step's first read.
+/// `mid / per`), and both candidate next probes are known exactly, so
+/// whichever candidate the bisection takes, its submission is that
+/// step's first read.
 struct SpecPrefetcher<'d, T: Item> {
     sched: &'d IoScheduler,
     /// In-flight speculative single-block reads: `(partition, block,
@@ -534,28 +535,20 @@ impl<'d, T: Item> SpecPrefetcher<'d, T> {
         (lo < hi).then(|| (lo + (hi - lo) / 2) / per)
     }
 
-    /// Submit the first-probe block of each candidate next probe whose
-    /// block is certain, skipping blocks already decoded in `caches`.
-    ///
-    /// A candidate is given per partition by its windows at the two ends
-    /// of its value range. Both window ends are monotone in the probe
-    /// value, so the first-probe block of any probe in the range lies
-    /// between the blocks of those two windows: when they agree, that
-    /// block is the candidate's first read (if it reads at all).
+    /// Submit the first-probe block of both candidate next probes, given
+    /// per partition by their exact windows, skipping blocks already
+    /// decoded in `caches` or in flight.
     fn speculate(
         &mut self,
         partitions: &[&StoredPartition<T>],
-        candidates: &[[[(u64, u64); 2]; 2]],
+        candidates: &[[(u64, u64); 2]],
         bs: usize,
         caches: &[BlockCache<T>],
     ) {
-        for (i, (p, ends)) in partitions.iter().zip(candidates).enumerate() {
+        for (i, (p, windows)) in partitions.iter().zip(candidates).enumerate() {
             let per = p.run.items_per_block(bs) as u64;
-            for [near, far] in ends {
-                let far_block = Self::first_probe_block(*far, per);
-                let Some(block) =
-                    Self::first_probe_block(*near, per).filter(|&b| Some(b) == far_block)
-                else {
+            for &window in windows {
+                let Some(block) = Self::first_probe_block(window, per) else {
                     continue;
                 };
                 if caches[i].contains(p.run.file(), block)
@@ -716,6 +709,16 @@ pub fn bisect_summed_rank<T: Item>(
             break Ok((z, rho, steps));
         }
     }
+}
+
+/// The two probes [`bisect_summed_rank`] can make after probing `z` in
+/// the bracket `[u, v]` without accepting it: recursing left probes the
+/// midpoint of `[u, z]`; recursing right probes the midpoint of `[z, v]`,
+/// or `v` itself once the bracket is `{u, u + ulp}`. Lets a probe source
+/// speculate on the next step's reads.
+fn next_probes<T: Item>(u: T, z: T, v: T) -> [T; 2] {
+    let right = if z == u { v } else { T::midpoint(z, v) };
+    [T::midpoint(u, z), right]
 }
 
 /// Exact `rank(z, P)` (summed weight of elements ≤ z — archived runs

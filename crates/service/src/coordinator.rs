@@ -1030,13 +1030,18 @@ impl<T: Item> TenantSession<'_, T> {
             if self.vitals.total == 0 {
                 return Ok(None);
             }
-            let r = r.clamp(1, self.vitals.total);
             match self.ensure_summary() {
                 Ok(()) => {}
                 Err(e) if is_interrupted(&e) => continue,
                 Err(e) => return Err(e),
             }
             let ts = self.summary.as_ref().expect("summary just ensured");
+            // Capped at the readable total, as in process: quarantined
+            // mass is in `vitals.total` but no probe can reach it.
+            if ts.total() == 0 {
+                return Ok(None);
+            }
+            let r = r.clamp(1, ts.total());
             let (u, v) = ts.seed_bracket(r);
             let eps_m = self.eps_m();
             let mut probes = RemoteProbes {

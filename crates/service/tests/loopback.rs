@@ -470,10 +470,7 @@ fn degraded_served_intervals_match_in_process_and_contain_a_true_rank() {
         let mut coord = Coordinator::<u64>::connect(&[handle.addr()]).unwrap();
         let mut sess = coord.session(1).unwrap();
         let snap = local.snapshot();
-        for r in [100u64, 500, 1000, 1500, 2000, 2300] {
-            let what = format!("{shards} shards rank {r}");
-            let served = sess.rank_query(r).unwrap().unwrap().outcome;
-            assert_outcome_eq(&served, &snap.rank_query(r).unwrap().unwrap(), &what);
+        let check = |served: &QueryOutcome<u64>, what: &str| {
             assert!(served.degraded && served.quarantined > 0, "{what}");
             let lt = oracle.partition_point(|&x| x < served.value) as u64;
             let le = oracle.partition_point(|&x| x <= served.value) as u64;
@@ -485,7 +482,21 @@ fn degraded_served_intervals_match_in_process_and_contain_a_true_rank() {
                 served.rank_lo,
                 served.rank_hi
             );
+        };
+        // Ranks past the readable total (2400 at one shard) reach into
+        // the quarantined mass: both sides cap them the same way.
+        for r in [100u64, 500, 1000, 1500, 2000, 2300, 2500, 3000, 3400] {
+            let what = format!("{shards} shards rank {r}");
+            let served = sess.rank_query(r).unwrap().unwrap().outcome;
+            assert_outcome_eq(&served, &snap.rank_query(r).unwrap().unwrap(), &what);
+            check(&served, &what);
         }
+        let what = format!("{shards} shards quantile 0.99");
+        let served = sess.quantile(0.99).unwrap().unwrap().outcome;
+        assert_eq!(Some(served.value), snap.quantile(0.99).unwrap(), "{what}");
+        let r = (0.99 * snap.total_len() as f64).ceil() as u64;
+        assert_outcome_eq(&served, &snap.rank_query(r).unwrap().unwrap(), &what);
+        check(&served, &what);
         handle.shutdown();
     }
 }

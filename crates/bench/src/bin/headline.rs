@@ -75,10 +75,12 @@ fn percentile(sorted: &[u32], p: f64) -> f64 {
 
 /// Query-path metrics: bisection probe counts with summary vs domain
 /// bracket seeding (p50/p99 over a rank sweep), speculative-prefetch hit
-/// rate at `io_depth = 2`, and the cached cross-shard summary speedup of
-/// reusing one `ShardedSnapshot` for a dashboard's worth of queries.
+/// rate at `io_depth = 2`, the cached cross-shard summary speedup of
+/// reusing one `ShardedSnapshot` for a dashboard's worth of queries, and
+/// the live engine's per-query latency against a reused one-shard
+/// snapshot over the same data.
 #[allow(clippy::type_complexity)]
-fn query_metrics() -> (f64, f64, f64, f64, f64, f64, f64, f64) {
+fn query_metrics() -> (f64, f64, f64, f64, f64, f64, f64, f64, f64, f64) {
     const STEPS: u64 = 40;
     const STEP_ITEMS: usize = 8192;
     let mk = |io_depth: usize| {
@@ -193,6 +195,39 @@ fn query_metrics() -> (f64, f64, f64, f64, f64, f64, f64, f64) {
         "snapshot reuse must be faster than per-query snapshots ({cached_speedup:.2}x)"
     );
 
+    // Live engine vs a reused one-shard snapshot of the same engine: the
+    // engine extracts its stream summary and merges it into the cached
+    // history side per query; the snapshot reuses its whole summary.
+    let cfg = HsqConfig::builder()
+        .epsilon(0.01)
+        .merge_threshold(3)
+        .build();
+    let mut one = ShardedEngine::<u64, _>::with_shards(1, cfg, |_| MemDevice::new(4096));
+    for s in 0..13u64 {
+        one.ingest_step(&Dataset::Uniform.generator(900 + s).take_vec(5000))
+            .expect("ingest");
+    }
+    one.stream_extend(&Dataset::Uniform.generator(990).take_vec(5000));
+    let engine = one.shard(0);
+    let snap = one.snapshot();
+    let n = engine.total_len();
+    let ranks: Vec<u64> = (1..=40).map(|i| n * i / 41).collect();
+    let (mut engine_best, mut snap_best) = (f64::MAX, f64::MAX);
+    for _ in 0..5 {
+        let t = Instant::now();
+        for &r in &ranks {
+            let _ = engine.rank_query(r).expect("query");
+        }
+        engine_best = engine_best.min(t.elapsed().as_secs_f64());
+        let t = Instant::now();
+        for &r in &ranks {
+            let _ = snap.rank_query(r).expect("query");
+        }
+        snap_best = snap_best.min(t.elapsed().as_secs_f64());
+    }
+    let engine_secs = engine_best / ranks.len() as f64;
+    let engine_vs_snapshot = engine_best / snap_best;
+
     (
         s_p50,
         s_p99,
@@ -202,6 +237,8 @@ fn query_metrics() -> (f64, f64, f64, f64, f64, f64, f64, f64) {
         cached_speedup,
         fresh_secs,
         reused_secs,
+        engine_secs,
+        engine_vs_snapshot,
     )
 }
 
@@ -1070,15 +1107,27 @@ fn main() {
         );
     }
 
-    let (q_s_p50, q_s_p99, q_d_p50, q_d_p99, q_hit_rate, cached_speedup, fresh_secs, reused_secs) =
-        query_metrics();
+    let (
+        q_s_p50,
+        q_s_p99,
+        q_d_p50,
+        q_d_p99,
+        q_hit_rate,
+        cached_speedup,
+        fresh_secs,
+        reused_secs,
+        engine_secs,
+        engine_vs_snapshot,
+    ) = query_metrics();
     println!(
         "query: bisection probes p50/p99 {q_s_p50:.0}/{q_s_p99:.0} summary-seeded vs \
          {q_d_p50:.0}/{q_d_p99:.0} domain-seeded; prefetch hit rate {:.0}% at io_depth 2; \
-         snapshot reuse {cached_speedup:.2}x ({:.0} vs {:.0} us/query)",
+         snapshot reuse {cached_speedup:.2}x ({:.0} vs {:.0} us/query); \
+         engine {:.0} us/query, {engine_vs_snapshot:.2}x a reused 1-shard snapshot",
         q_hit_rate * 100.0,
         fresh_secs * 1e6,
         reused_secs * 1e6,
+        engine_secs * 1e6,
     );
 
     let (byte_cap, steady_bytes, window_secs, window_reads) = retention_metrics();
@@ -1188,7 +1237,8 @@ fn main() {
             "\"prefetch_io_depth\": 2, \"prefetch_hit_rate\": {:.3}, ",
             "\"cached_summary_speedup\": {:.2}, ",
             "\"fresh_snapshot_query_seconds\": {:.8}, ",
-            "\"reused_snapshot_query_seconds\": {:.8}}},\n",
+            "\"reused_snapshot_query_seconds\": {:.8}, ",
+            "\"engine_query_seconds\": {:.8}, \"engine_vs_snapshot\": {:.3}}},\n",
             "  \"retention\": {{\"byte_cap\": {}, \"steady_state_bytes\": {}, ",
             "\"window_query_seconds\": {:.6}, \"window_disk_reads_per_query\": {:.1}}},\n",
             "  \"io\": {{\"io_depth\": {}, \"shards\": {}, ",
@@ -1232,6 +1282,8 @@ fn main() {
         cached_speedup,
         fresh_secs,
         reused_secs,
+        engine_secs,
+        engine_vs_snapshot,
         byte_cap,
         steady_bytes,
         window_secs,

@@ -372,7 +372,8 @@ pub fn classify(leaf: &str) -> (Direction, bool) {
     if ["per_sec", "speedup"].iter().any(|k| l.contains(k)) {
         return (Direction::HigherBetter, true);
     }
-    if l.contains("seconds") || l.ends_with("_secs") || l.ends_with("_ms") {
+    // A latency ratio `a_vs_b` (speedups are caught above).
+    if l.contains("seconds") || l.ends_with("_secs") || l.ends_with("_ms") || l.contains("_vs_") {
         return (Direction::LowerBetter, true);
     }
     (Direction::Ignore, false)
@@ -781,6 +782,10 @@ mod tests {
         let (dir, noisy) = classify("radix_speedup");
         assert_eq!(dir, Direction::HigherBetter);
         assert!(noisy);
+        let (dir, noisy) = classify("engine_vs_snapshot");
+        assert_eq!(dir, Direction::LowerBetter);
+        assert!(noisy);
+        assert_eq!(classify("speedup_vs_1_shard").0, Direction::HigherBetter);
         assert_eq!(classify("prefetch_io_depth").0, Direction::Ignore);
 
         let base = Json::parse(

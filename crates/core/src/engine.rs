@@ -13,16 +13,21 @@
 //! `T = H ∪ R` by [`HistStreamQuantiles::quantile`] /
 //! [`HistStreamQuantiles::rank_query`]; cheap in-memory answers with error
 //! `O(εN)` by the `*_quick` variants; partition-aligned window queries by
-//! the `*_window` variants.
+//! the `*_in_window` variants.
+//!
+//! Every query merges a freshly extracted stream summary into a history
+//! side of `TS` built once per partition set (see
+//! [`crate::bounds::CombinedSummary::with_stream`]).
 
 use std::io;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use hsq_storage::{corruption_in, is_transient, BlockDevice, FileId, Item};
 
+use crate::bounds::{CombinedSummary, SourceView};
 use crate::config::HsqConfig;
-use crate::query::{QueryContext, QueryOutcome, ShardView};
+use crate::query::{history_sources, one_shard_summary, QueryContext, QueryOutcome, ShardView};
 use crate::stream::{StreamProcessor, StreamSummary};
 use crate::warehouse::{PinGuard, StoredPartition, UpdateReport, Warehouse};
 
@@ -46,6 +51,23 @@ pub struct HistStreamQuantiles<T: Item, D: BlockDevice> {
     config: HsqConfig,
     /// Optional heavy-hitter tracking (extension; see [`crate::heavy`]).
     heavy: Option<crate::heavy::HeavyTracker<T>>,
+    /// The history side of `TS` per partition set queried since the last
+    /// step boundary or scrub. Keyed by the set's sorted file ids: runs
+    /// are immutable and the device never reuses an id, so any change to
+    /// a set's content (merge, retention, quarantine, repair) changes its
+    /// key. Cleared whenever `&mut self` reshapes the warehouse.
+    history: Mutex<Vec<HistoryEntry<T>>>,
+}
+
+/// One cached history side and the key of its partition set.
+type HistoryEntry<T> = (Vec<FileId>, Arc<CombinedSummary<T>>);
+
+/// The cache key of a partition set: its sorted file ids (`TS` does not
+/// depend on partition order).
+fn partition_key<T: Item>(partitions: &[&StoredPartition<T>]) -> Vec<FileId> {
+    let mut key: Vec<FileId> = partitions.iter().map(|p| p.run.file()).collect();
+    key.sort_unstable();
+    key
 }
 
 impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
@@ -66,6 +88,7 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
             staging_sort_time: std::time::Duration::ZERO,
             config,
             heavy: None,
+            history: Mutex::new(Vec::new()),
         }
     }
 
@@ -262,6 +285,7 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
     /// every shard submits its writes, then one barrier per shard device
     /// settles them all.
     pub fn end_time_step_deferred(&mut self) -> io::Result<UpdateReport> {
+        self.clear_history();
         self.seal_staging_tail();
         let data = std::mem::take(&mut self.staging);
         let segments = std::mem::take(&mut self.staging_segments);
@@ -321,16 +345,23 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
                 .filter(|p| !self.warehouse.is_quarantined(p.run.file()))
                 .collect(),
         };
+        let ts = self
+            .history_summary(&parts)
+            .with_stream(&SourceView::from_stream(stream));
+        let shard = ShardView {
+            dev: &**self.warehouse.device(),
+            partitions: parts,
+            stream,
+            sched: self.warehouse.scheduler().map(|s| &**s),
+        };
         Some(
-            QueryContext::new(
-                &**self.warehouse.device(),
-                parts,
-                stream,
+            QueryContext::over_shards(
+                vec![shard],
+                Arc::new(ts),
                 self.config.query_epsilon(),
                 self.config.cache_blocks,
             )
             .with_parallel(self.config.parallel_query)
-            .with_prefetch(self.warehouse.scheduler().map(|s| &**s))
             .with_degraded(self.warehouse.quarantined_mass()),
         )
     }
@@ -343,12 +374,10 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
         f: impl Fn(&QueryContext<'_, T, D>) -> io::Result<Option<R>>,
     ) -> io::Result<Option<R>> {
         self.strict_check()?;
-        self.with_recovery(|| {
-            let ss = self.stream.summary();
-            match self.context(&ss, window) {
-                Some(ctx) => f(&ctx),
-                None => Ok(None),
-            }
+        let ss = self.stream.summary();
+        self.with_recovery(|| match self.context(&ss, window) {
+            Some(ctx) => f(&ctx),
+            None => Ok(None),
         })
     }
 
@@ -408,9 +437,10 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
         self.query(None, |ctx| ctx.accurate_rank(r))
     }
 
-    /// Batch of φ-quantiles sharing one stream-summary extraction and one
-    /// combined-summary build: cheaper than separate [`Self::quantile`]
-    /// calls when reporting e.g. p50/p95/p99 together.
+    /// Batch of φ-quantiles sharing one stream-summary extraction, one
+    /// merge of it into the cached history side, and one block-cache set:
+    /// cheaper than separate [`Self::quantile`] calls when reporting e.g.
+    /// p50/p95/p99 together.
     pub fn quantiles(&self, phis: &[f64]) -> io::Result<Vec<Option<T>>> {
         let n = self.total_len();
         let qs = self.query(None, |ctx| ctx.quantiles(phis, n).map(Some))?;
@@ -437,6 +467,8 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
             dev: Arc::clone(self.warehouse.device()),
             parts,
             stream: self.stream.summary(),
+            history: self.cached_history(&self.warehouse.healthy_partitions_newest_first()),
+            ts: OnceLock::new(),
             steps: self.warehouse.steps(),
             historical_len: self.warehouse.total_len(),
             epsilon: self.config.query_epsilon(),
@@ -503,6 +535,7 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
             staging_sort_time: std::time::Duration::ZERO,
             config,
             heavy: None,
+            history: Mutex::new(Vec::new()),
         })
     }
 
@@ -551,7 +584,45 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
     /// [`Warehouse::scrub`]). Call periodically from an operations loop;
     /// `budget_blocks` bounds the pass's read I/O.
     pub fn scrub(&mut self, budget_blocks: u64) -> io::Result<crate::warehouse::ScrubReport> {
+        self.clear_history();
         self.warehouse.scrub(budget_blocks)
+    }
+
+    /// Drop every cached history side. The file-id keys already keep
+    /// stale entries from matching; clearing before the warehouse
+    /// reshapes itself keeps them from outliving a merge's buffers.
+    fn clear_history(&mut self) {
+        self.history
+            .get_mut()
+            .expect("history cache lock poisoned")
+            .clear();
+    }
+
+    /// The history side of `TS` over `partitions`: built by the first
+    /// query over a partition set, then shared by every later one. (Two
+    /// racing first queries may both build it; lookups take the first.)
+    fn history_summary(&self, partitions: &[&StoredPartition<T>]) -> Arc<CombinedSummary<T>> {
+        self.cached_history(partitions).unwrap_or_else(|| {
+            let ts = Arc::new(CombinedSummary::build(&history_sources(partitions)));
+            self.history
+                .lock()
+                .expect("history cache lock poisoned")
+                .push((partition_key(partitions), Arc::clone(&ts)));
+            ts
+        })
+    }
+
+    /// The cached history side over `partitions`, if a query built one.
+    fn cached_history(
+        &self,
+        partitions: &[&StoredPartition<T>],
+    ) -> Option<Arc<CombinedSummary<T>>> {
+        let key = partition_key(partitions);
+        let cache = self.history.lock().expect("history cache lock poisoned");
+        cache
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, ts)| Arc::clone(ts))
     }
 }
 
@@ -568,6 +639,11 @@ pub struct EngineSnapshot<T: Item, D: BlockDevice> {
     /// level — the same order the manifest serializes.
     parts: Vec<(usize, StoredPartition<T>)>,
     stream: StreamSummary<T>,
+    /// The engine's cached history side over the healthy partitions at
+    /// snapshot time, when a query had built it.
+    history: Option<Arc<CombinedSummary<T>>>,
+    /// The full-union `TS`, built on first use: the snapshot is immutable.
+    ts: OnceLock<Arc<CombinedSummary<T>>>,
     steps: u64,
     historical_len: u64,
     epsilon: f64,
@@ -677,28 +753,37 @@ impl<T: Item, D: BlockDevice> EngineSnapshot<T, D> {
         self.view(self.healthy()).sources()
     }
 
+    /// The full-union `TS`: the engine's history side when the snapshot
+    /// was seeded with it, else one built here, merged with the stream
+    /// summary once per snapshot.
+    fn full_summary(&self) -> &Arc<CombinedSummary<T>> {
+        self.ts.get_or_init(|| {
+            Arc::new(match &self.history {
+                Some(history) => history.with_stream(&SourceView::from_stream(&self.stream)),
+                None => one_shard_summary(&self.healthy(), &self.stream),
+            })
+        })
+    }
+
     /// A query context over the whole readable snapshot, or over the
     /// newest `window` pinned steps (`None` on misalignment).
     fn context(&self, window: Option<u64>) -> Option<QueryContext<'_, T, D>> {
-        let parts = match window {
-            None => self.healthy(),
-            Some(w) => self
-                .window_partitions(w)?
-                .into_iter()
-                .filter(|p| !self.is_quarantined(p.run.file()))
-                .collect(),
+        let (parts, ts) = match window {
+            None => (self.healthy(), Arc::clone(self.full_summary())),
+            Some(w) => {
+                let parts: Vec<_> = self
+                    .window_partitions(w)?
+                    .into_iter()
+                    .filter(|p| !self.is_quarantined(p.run.file()))
+                    .collect();
+                let ts = Arc::new(one_shard_summary(&parts, &self.stream));
+                (parts, ts)
+            }
         };
         Some(
-            QueryContext::new(
-                &*self.dev,
-                parts,
-                &self.stream,
-                self.epsilon,
-                self.cache_blocks,
-            )
-            .with_parallel(self.parallel)
-            .with_prefetch(self.sched.as_deref())
-            .with_degraded(self.quarantined_mass()),
+            QueryContext::over_shards(vec![self.view(parts)], ts, self.epsilon, self.cache_blocks)
+                .with_parallel(self.parallel)
+                .with_degraded(self.quarantined_mass()),
         )
     }
 
@@ -719,7 +804,7 @@ impl<T: Item, D: BlockDevice> EngineSnapshot<T, D> {
         self.full_context().accurate_rank(r)
     }
 
-    /// Batch of φ-quantiles sharing one combined-summary build.
+    /// Batch of φ-quantiles sharing one block-cache set.
     pub fn quantiles(&self, phis: &[f64]) -> io::Result<Vec<Option<T>>> {
         self.full_context().quantiles(phis, self.total_len())
     }
@@ -1302,6 +1387,37 @@ mod tests {
         }
         let quick = snap.quantile_quick(0.5).unwrap();
         assert!((quick as i64 - 500).abs() <= 160, "quick {quick}");
+    }
+
+    #[test]
+    fn snapshot_seeds_from_the_cached_history_side() {
+        let mut h = engine(0.05, 3);
+        for step in 0..7u64 {
+            let batch: Vec<u64> = (0..500).map(|i| (i * 7919 + step * 31) % 4000).collect();
+            h.ingest_step(&batch).unwrap();
+        }
+        h.stream_extend(&(0..300).map(|i| (i * 13) % 4000).collect::<Vec<u64>>());
+        assert!(h.snapshot().history.is_none(), "no query has built one");
+
+        let n = h.total_len();
+        h.rank_query(n / 2).unwrap();
+        let seeded = h.snapshot();
+        let cached = h
+            .cached_history(&h.warehouse.healthy_partitions_newest_first())
+            .expect("the query cached its history side");
+        assert!(Arc::ptr_eq(seeded.history.as_ref().unwrap(), &cached));
+
+        h.clear_history();
+        let built = h.snapshot();
+        assert!(built.history.is_none());
+        assert_eq!(seeded.full_summary(), built.full_summary());
+        for phi in [0.01, 0.3, 0.5, 0.97, 1.0] {
+            assert_eq!(seeded.quantile(phi).unwrap(), built.quantile(phi).unwrap());
+        }
+
+        h.rank_query(n / 2).unwrap();
+        h.ingest_step(&[1, 2, 3]).unwrap();
+        assert!(h.snapshot().history.is_none(), "a step clears the cache");
     }
 
     #[test]

@@ -113,11 +113,7 @@ impl<'a, T: Item, D: BlockDevice> ShardView<'a, T, D> {
     /// Per-source rank-bound views (partitions, then the stream): the
     /// inputs a [`CombinedSummary`] is built from.
     pub(crate) fn sources(&self) -> Vec<SourceView<T>> {
-        let mut out: Vec<SourceView<T>> = self
-            .partitions
-            .iter()
-            .map(|p| SourceView::from_partition(&p.summary))
-            .collect();
+        let mut out = history_sources(&self.partitions);
         out.push(SourceView::from_stream(self.stream));
         out
     }
@@ -154,6 +150,24 @@ impl<'a, T: Item, D: BlockDevice> ShardView<'a, T, D> {
     }
 }
 
+/// Rank-bound views of partition summaries: the history side of `TS`.
+pub(crate) fn history_sources<T: Item>(partitions: &[&StoredPartition<T>]) -> Vec<SourceView<T>> {
+    partitions
+        .iter()
+        .map(|p| SourceView::from_partition(&p.summary))
+        .collect()
+}
+
+/// `TS` over `partitions` ∪ `stream`: the history side, then the stream
+/// merged in with [`CombinedSummary::with_stream`].
+pub(crate) fn one_shard_summary<T: Item>(
+    partitions: &[&StoredPartition<T>],
+    stream: &StreamSummary<T>,
+) -> CombinedSummary<T> {
+    CombinedSummary::build(&history_sources(partitions))
+        .with_stream(&SourceView::from_stream(stream))
+}
+
 /// Per-query evaluation context over one or more shards.
 ///
 /// Each shard borrows its partitions (all of them, or a window's worth)
@@ -175,8 +189,10 @@ pub struct QueryContext<'a, T: Item, D: BlockDevice> {
 }
 
 impl<'a, T: Item, D: BlockDevice> QueryContext<'a, T, D> {
-    /// Build the combined summary `TS` over `partitions` ∪ stream: the
-    /// one-shard context.
+    /// Build the combined summary `TS` over `partitions` ∪ stream — the
+    /// history side, then [`CombinedSummary::with_stream`] — as the
+    /// one-shard context. Nothing is cached; the engine keeps its history
+    /// side across queries instead.
     pub fn new(
         dev: &'a D,
         partitions: Vec<&'a StoredPartition<T>>,
@@ -184,13 +200,13 @@ impl<'a, T: Item, D: BlockDevice> QueryContext<'a, T, D> {
         epsilon: f64,
         cache_blocks: usize,
     ) -> Self {
+        let ts = Arc::new(one_shard_summary(&partitions, stream));
         let shard = ShardView {
             dev,
             partitions,
             stream,
             sched: None,
         };
-        let ts = Arc::new(CombinedSummary::build(&shard.sources()));
         Self::over_shards(vec![shard], ts, epsilon, cache_blocks)
     }
 

@@ -313,10 +313,12 @@ impl<T: Item> StreamProcessor<T> {
 
     /// `StreamSummary()`: extract `SS` (Algorithm 4 lines 6–11).
     ///
-    /// GK answers each of the `β₂` rank targets from its tuple list
-    /// directly; KLL compiles its ladder into a cumulative view once and
-    /// answers every target from it, so the extract stays O(size + β₂
-    /// log size) rather than re-flattening per target.
+    /// The `β₂` rank targets never decrease, so GK answers them all from
+    /// one forward sweep of its tuple list ([`hsq_sketch::GkSketch::rank_cursor`],
+    /// O(|tuples| + β₂)); KLL compiles its ladder into a cumulative view
+    /// once and answers every target from it (O(size + β₂ log size)).
+    /// Either way each answer is the backend's `rank_query` for that
+    /// target.
     pub fn summary(&self) -> StreamSummary<T> {
         let m = self.sketch.len();
         if m == 0 {
@@ -329,7 +331,8 @@ impl<T: Item> StreamProcessor<T> {
         let max = self.sketch.max().expect("non-empty");
         match &self.sketch {
             AnySketch::Gk(gk) => {
-                self.summary_from(m, min, max, |r| gk.rank_query(r).expect("non-empty"))
+                let mut cursor = gk.rank_cursor();
+                self.summary_from(m, min, max, |r| cursor.rank_query(r).expect("non-empty"))
             }
             AnySketch::Kll(kll) => {
                 let cum = kll.cumulative();
@@ -340,13 +343,14 @@ impl<T: Item> StreamProcessor<T> {
 
     /// The backend-independent extract loop behind
     /// [`StreamProcessor::summary`]: probe `β₂` rank targets through
-    /// `rank_query`, anchor the exact extremes, and monotonize.
+    /// `rank_query` in nondecreasing order, anchor the exact extremes,
+    /// and monotonize.
     fn summary_from(
         &self,
         m: u64,
         min: T,
         max: T,
-        rank_query: impl Fn(u64) -> RankEstimate<T>,
+        mut rank_query: impl FnMut(u64) -> RankEstimate<T>,
     ) -> StreamSummary<T> {
         let mut entries = Vec::with_capacity(self.beta2 + 1);
         // SS[0]: the smallest element in the stream so far (tracked

@@ -7,6 +7,7 @@ use hsq_core::{
     CombinedSummary, HistStreamQuantiles, HsqConfig, QueryContext, SourceView, StreamProcessor,
     Warehouse,
 };
+use hsq_sketch::QuantileSketch;
 use hsq_storage::{BlockDevice, MemDevice};
 use proptest::prelude::*;
 
@@ -613,4 +614,196 @@ proptest! {
             );
         }
     }
+}
+
+/// Algorithm 4's extract with one independent `rank_query` per target (a
+/// fresh tuple scan per target for GK, a fresh compile per target for
+/// KLL), then the anchoring and monotonizing `StreamProcessor::summary`
+/// documents: the reference the one-sweep extract must equal.
+fn per_target_extract(sp: &StreamProcessor<u64>, eps2: f64, beta2: usize) -> Vec<(u64, u64, u64)> {
+    let sk = sp.sketch();
+    let m = sk.len();
+    let (Some(min), Some(max)) = (sk.min(), sk.max()) else {
+        return Vec::new();
+    };
+    let mut out = vec![(min, 1, 1)];
+    for i in 1..beta2 as u64 {
+        let target = (((i as f64) * eps2 * m as f64).floor() as u64).clamp(1, m);
+        let est = sk.rank_query(target).unwrap();
+        out.push((est.value, est.rmin, est.rmax));
+        if target == m {
+            break;
+        }
+    }
+    if out.last().map(|e| e.0) != Some(max) {
+        out.push((max, m, m));
+    }
+    out.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+    let mut run = 0;
+    for e in &mut out {
+        run = e.1.max(run);
+        e.1 = run;
+    }
+    let mut run = u64::MAX;
+    for e in out.iter_mut().rev() {
+        run = e.2.min(run);
+        e.2 = run;
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The one-sweep stream extract equals the per-target extract on
+    /// random, duplicate-heavy (small `dup_mod`) and weighted streams,
+    /// under whichever backend the configuration selects.
+    #[test]
+    fn swept_extract_equals_per_target_extract(
+        stream in proptest::collection::vec(0u64..1_000_000, 0..3_000),
+        weights in proptest::collection::vec(1u64..6, 1..64),
+        dup_mod in 2u64..1_000_001,
+        weighted in any::<bool>(),
+        eps_pct in 1u32..20,
+    ) {
+        let cfg = HsqConfig::builder().epsilon(eps_pct as f64 / 100.0).build();
+        let mut sp = StreamProcessor::with_compaction(
+            cfg.sketch, cfg.sketch_compaction, cfg.epsilon2, cfg.beta2);
+        for (i, &v) in stream.iter().enumerate() {
+            let (v, w) = (v % dup_mod, weights[i % weights.len()]);
+            if weighted {
+                sp.update_weighted(v, w);
+            } else {
+                sp.update(v);
+            }
+        }
+        let swept: Vec<(u64, u64, u64)> = sp
+            .summary()
+            .entries()
+            .iter()
+            .map(|e| (e.value, e.rmin, e.rmax))
+            .collect();
+        prop_assert_eq!(swept, per_target_extract(&sp, cfg.epsilon2, cfg.beta2));
+    }
+
+    /// `build(hist).with_stream(s)` equals `build(hist ++ [s])` field for
+    /// field: a small value domain puts equal values in several sources,
+    /// and empty histories and empty streams are drawn too.
+    #[test]
+    fn with_stream_equals_full_build(
+        batches in proptest::collection::vec(
+            proptest::collection::vec(0u64..60, 1..200), 0..6),
+        stream in proptest::collection::vec(0u64..60, 0..400),
+        kappa in 2usize..5,
+        eps_pct in 5u32..40,
+    ) {
+        let cfg = HsqConfig::builder()
+            .epsilon(eps_pct as f64 / 100.0)
+            .merge_threshold(kappa)
+            .build();
+        let mut w = Warehouse::<u64, _>::new(MemDevice::new(256), cfg.clone());
+        for b in &batches {
+            w.add_batch(b.clone()).unwrap();
+        }
+        let mut sp = StreamProcessor::with_compaction(
+            cfg.sketch, cfg.sketch_compaction, cfg.epsilon2, cfg.beta2);
+        for &v in &stream {
+            sp.update(v);
+        }
+        let mut sources: Vec<SourceView<u64>> = w
+            .partitions_newest_first()
+            .iter()
+            .map(|p| SourceView::from_partition(&p.summary))
+            .collect();
+        let history = CombinedSummary::build(&sources);
+        let ss = SourceView::from_stream(&sp.summary());
+        let merged = history.with_stream(&ss);
+        sources.push(ss);
+        prop_assert_eq!(merged, CombinedSummary::build(&sources));
+    }
+}
+
+/// Every engine `QueryOutcome` field (I/O, bisection steps, rank bounds)
+/// equals a fresh, uncached `QueryContext::new` over the same partitions.
+/// The device classifies a read as sequential by the file's previous read,
+/// so both measured queries follow the same query.
+fn assert_matches_fresh_context<D: BlockDevice>(h: &HistStreamQuantiles<u64, D>, what: &str) {
+    let cfg = h.config();
+    let n = h.total_len();
+    for r in [1, n / 3, n / 2, n - n / 5, n] {
+        h.rank_query(r).unwrap();
+        let ss = h.stream().summary();
+        let fresh = QueryContext::new(
+            &**h.warehouse().device(),
+            h.warehouse().healthy_partitions_newest_first(),
+            &ss,
+            cfg.query_epsilon(),
+            cfg.cache_blocks,
+        )
+        .with_parallel(cfg.parallel_query)
+        .with_prefetch(h.warehouse().scheduler().map(|s| &**s))
+        .with_degraded(h.warehouse().quarantined_mass())
+        .accurate_rank(r)
+        .unwrap();
+        assert_eq!(h.rank_query(r).unwrap(), fresh, "{what}: rank {r}");
+    }
+}
+
+/// The engine's cached history side never answers for a partition set
+/// that changed: after a cascade merge, a retention expiry and a
+/// recovery, each queried with the cache warm from before the change.
+#[test]
+fn cached_history_matches_fresh_context_after_mutations() {
+    let cfg = HsqConfig::builder()
+        .epsilon(0.05)
+        .merge_threshold(2)
+        .retention(hsq_core::RetentionPolicy::unbounded().with_max_age_steps(12))
+        .build();
+    let dev = MemDevice::new(256);
+    let mut h = HistStreamQuantiles::<u64, _>::new(std::sync::Arc::clone(&dev), cfg.clone());
+    let mut x = 11u64;
+    let mut batch = |len: usize| -> Vec<u64> {
+        (0..len)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                x >> 40
+            })
+            .collect()
+    };
+    let mut saw_cascade = false;
+    let mut saw_expiry = false;
+    for step in 0..24 {
+        h.stream_extend(&batch(300));
+        assert_matches_fresh_context(&h, &format!("before step {step}"));
+        let report = h.end_time_step().unwrap();
+        saw_cascade |= report.merges >= 2;
+        saw_expiry |= report.retention.retired_partitions > 0;
+        h.stream_extend(&batch(50));
+        assert_matches_fresh_context(&h, &format!("after step {step}"));
+    }
+    assert!(
+        saw_cascade && saw_expiry,
+        "the schedule must cascade and expire"
+    );
+
+    let manifest = h.persist().unwrap();
+    let before: Vec<_> = [1, h.total_len() / 2]
+        .iter()
+        .map(|&r| h.rank_query(r).unwrap())
+        .collect();
+    drop(h);
+    let h = HistStreamQuantiles::<u64, _>::recover(dev, cfg, manifest).unwrap();
+    assert_matches_fresh_context(&h, "after recover");
+    let after: Vec<_> = [1, h.total_len() / 2]
+        .iter()
+        .map(|&r| h.rank_query(r).unwrap())
+        .collect();
+    let values = |v: &[Option<hsq_core::QueryOutcome<u64>>]| -> Vec<_> {
+        v.iter()
+            .map(|o| o.map(|o| (o.value, o.rank_lo, o.rank_hi)))
+            .collect()
+    };
+    assert_eq!(values(&before), values(&after));
 }

@@ -384,30 +384,27 @@ impl<T: Copy + Ord> GkSketch<T> {
     /// Answer a query for 1-based rank `r` (clamped into `[1, n]`).
     ///
     /// Returns a value whose true rank is within `εn` of `r`, along with
-    /// its tracked rank interval. `None` iff the sketch is empty.
+    /// its tracked rank interval. `None` iff the sketch is empty. The
+    /// one-target case of [`GkSketch::rank_cursor`].
     pub fn rank_query(&self, r: u64) -> Option<RankEstimate<T>> {
-        if self.n == 0 {
-            return None;
+        self.rank_cursor().rank_query(r)
+    }
+
+    /// A forward cursor answering [`GkSketch::rank_query`] for a sequence
+    /// of nondecreasing targets in one sweep over the tuple list: `k`
+    /// targets cost O(|tuples| + k) instead of O(k·|tuples|). Extract
+    /// loops (the stream-summary builder upstream) should query through
+    /// one cursor rather than calling [`GkSketch::rank_query`] per target.
+    pub fn rank_cursor(&self) -> GkRankCursor<'_, T> {
+        GkRankCursor {
+            tuples: &self.tuples,
+            n: self.n,
+            slack: (self.epsilon * self.n as f64).floor() as u64,
+            next: 0,
+            rmin: 0,
+            prev: None,
+            last: 0,
         }
-        let r = r.clamp(1, self.n);
-        let slack = (self.epsilon * self.n as f64).floor() as u64;
-        let mut rmin = 0u64;
-        let mut prev: Option<RankEstimate<T>> = None;
-        for t in &self.tuples {
-            rmin += t.g;
-            let cur = RankEstimate {
-                value: t.v,
-                rmin,
-                rmax: rmin + t.delta,
-            };
-            if cur.rmax > r + slack {
-                // First tuple overshooting: the previous one (if any) is
-                // guaranteed within slack by the invariant.
-                return Some(prev.unwrap_or(cur));
-            }
-            prev = Some(cur);
-        }
-        prev
     }
 
     /// The element at quantile `phi ∈ (0, 1]` (rank `⌈φn⌉`), within `εn`.
@@ -841,6 +838,63 @@ impl<T: Copy + Ord + fmt::Debug> fmt::Debug for GkSketch<T> {
     }
 }
 
+/// A forward cursor over a [`GkSketch`]'s tuple list, built by
+/// [`GkSketch::rank_cursor`]. Each answer is exactly what
+/// [`GkSketch::rank_query`] returns for the same target. Targets that
+/// never decrease share one pass over the tuples; a smaller target than
+/// the previous one restarts the pass from the first tuple.
+#[derive(Debug, Clone)]
+pub struct GkRankCursor<'a, T> {
+    tuples: &'a [Tuple<T>],
+    n: u64,
+    slack: u64,
+    /// Tuples `[..next]` lie within the previous target's threshold, so
+    /// they lie within every later (larger) one's too.
+    next: usize,
+    /// `Σ g` over `tuples[..next]`.
+    rmin: u64,
+    /// The estimate at `tuples[next − 1]`.
+    prev: Option<RankEstimate<T>>,
+    /// The previous target, clamped.
+    last: u64,
+}
+
+impl<T: Copy> GkRankCursor<'_, T> {
+    /// Answer a query for 1-based rank `r` (clamped into `[1, n]`):
+    /// the last tuple whose `rmax` stays within `r + ⌊εn⌋` (the first
+    /// tuple if none does), with its tracked rank interval. `None` iff
+    /// the sketch is empty.
+    pub fn rank_query(&mut self, r: u64) -> Option<RankEstimate<T>> {
+        if self.n == 0 {
+            return None;
+        }
+        let r = r.clamp(1, self.n);
+        if r < self.last {
+            self.next = 0;
+            self.rmin = 0;
+            self.prev = None;
+        }
+        self.last = r;
+        while let Some(t) = self.tuples.get(self.next) {
+            let rmin = self.rmin + t.g;
+            let cur = RankEstimate {
+                value: t.v,
+                rmin,
+                rmax: rmin + t.delta,
+            };
+            if cur.rmax > r + self.slack {
+                // First tuple overshooting: the previous one (if any) is
+                // guaranteed within slack by the invariant.
+                return Some(self.prev.unwrap_or(cur));
+            }
+            self.prev = Some(cur);
+            self.rmin = rmin;
+            self.next += 1;
+        }
+        self.prev
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -993,6 +1047,49 @@ mod tests {
         // Reusable after reset.
         gk.insert(9);
         assert_eq!(gk.quantile(1.0), Some(9));
+    }
+
+    /// The cursor answers every target exactly like an independent scan
+    /// from the first tuple, in sweep order and out of order.
+    #[test]
+    fn rank_cursor_matches_independent_scans() {
+        fn scan(gk: &GkSketch<u64>, r: u64) -> Option<RankEstimate<u64>> {
+            let r = r.clamp(1, gk.n.max(1));
+            let slack = (gk.epsilon * gk.n as f64).floor() as u64;
+            let (mut rmin, mut prev) = (0, None);
+            for t in &gk.tuples {
+                rmin += t.g;
+                let cur = RankEstimate {
+                    value: t.v,
+                    rmin,
+                    rmax: rmin + t.delta,
+                };
+                if cur.rmax > r + slack {
+                    return Some(prev.unwrap_or(cur));
+                }
+                prev = Some(cur);
+            }
+            prev
+        }
+        let mut rng = StdRng::seed_from_u64(29);
+        for (len, domain) in [(0u64, 10u64), (1, 10), (5_000, 1_000_000), (5_000, 6)] {
+            let mut gk = GkSketch::new(0.01);
+            for _ in 0..len {
+                gk.insert_weighted(rng.gen_range(0..domain), rng.gen_range(1..4));
+            }
+            let n = gk.len();
+            let mut targets: Vec<u64> = (0..300).map(|_| rng.gen_range(0..n + 3)).collect();
+            targets.sort_unstable();
+            let mut cursor = gk.rank_cursor();
+            for &r in &targets {
+                assert_eq!(cursor.rank_query(r), scan(&gk, r), "sweep, r = {r}");
+            }
+            targets.shuffle(&mut rng);
+            let mut cursor = gk.rank_cursor();
+            for &r in &targets {
+                assert_eq!(cursor.rank_query(r), scan(&gk, r), "shuffled, r = {r}");
+            }
+        }
     }
 
     #[test]

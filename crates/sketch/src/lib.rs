@@ -40,7 +40,7 @@ pub mod radix;
 pub mod sampler;
 
 pub use exact::ExactQuantiles;
-pub use gk::{GkSketch, RankEstimate};
+pub use gk::{GkRankCursor, GkSketch, RankEstimate};
 pub use kll::{KllCumulative, KllSketch, SketchCompaction};
 pub use misra_gries::MisraGries;
 pub use qdigest::QDigest;

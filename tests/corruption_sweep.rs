@@ -10,7 +10,7 @@
 use std::io;
 use std::sync::Arc;
 
-use hsq::core::{HistStreamQuantiles, HsqConfig, QueryOutcome, ShardedEngine};
+use hsq::core::{HistStreamQuantiles, HsqConfig, QueryContext, QueryOutcome, ShardedEngine};
 use hsq::storage::{BlockDevice, Fault, FaultDevice, FileId, MemDevice, RetryDevice, RetryPolicy};
 
 const EPS: f64 = 0.1;
@@ -83,6 +83,33 @@ fn assert_sound(oracle: &[u64], o: &QueryOutcome<u64>, r: u64, eps_m: u64) {
     }
 }
 
+/// The engine's cached history side answers exactly like a fresh,
+/// uncached `QueryContext::new` over the same healthy partitions: every
+/// `QueryOutcome` field, I/O included. The device classifies a read as
+/// sequential by the file's previous read, so both measured queries
+/// follow the same query.
+fn assert_matches_fresh_context(h: &HistStreamQuantiles<u64, MemDevice>, ctx: &str) {
+    let cfg = h.config();
+    let n = h.total_len();
+    for r in [1, n / 4, n / 2, (3 * n) / 4, n] {
+        h.rank_query(r).unwrap();
+        let ss = h.stream().summary();
+        let fresh = QueryContext::new(
+            &**h.warehouse().device(),
+            h.warehouse().healthy_partitions_newest_first(),
+            &ss,
+            cfg.query_epsilon(),
+            cfg.cache_blocks,
+        )
+        .with_parallel(cfg.parallel_query)
+        .with_prefetch(h.warehouse().scheduler().map(|s| &**s))
+        .with_degraded(h.warehouse().quarantined_mass())
+        .accurate_rank(r)
+        .unwrap();
+        assert_eq!(h.rank_query(r).unwrap(), fresh, "{ctx}: rank {r}");
+    }
+}
+
 #[test]
 fn bit_rot_sweep_every_block_degrades_soundly_then_repairs() {
     let eps_m = (EPS * STREAM_ITEMS as f64).floor() as u64;
@@ -112,6 +139,9 @@ fn bit_rot_sweep_every_block_degrades_soundly_then_repairs() {
                         let per = p.run.items_per_block(bs) as u64;
                         (p.run.file(), (p.run.len() - b * per).min(per))
                     };
+                    // Warm the engine's cached history side over the
+                    // healthy set the rot is about to invalidate.
+                    h.rank_query(n / 2).unwrap();
                     rot(&dev, file, b);
 
                     // Degraded-or-correct: every answer either matches the
@@ -123,6 +153,9 @@ fn bit_rot_sweep_every_block_degrades_soundly_then_repairs() {
                             assert_eq!(o.quarantined, h.warehouse().quarantined_mass(), "{ctx}");
                         }
                     }
+                    // A block quarantined mid-query leaves no stale cached
+                    // summary behind.
+                    assert_matches_fresh_context(&h, &ctx);
 
                     // Scrub converges: quarantine (if a query did not
                     // already), repair, then one provably clean pass.
@@ -148,6 +181,7 @@ fn bit_rot_sweep_every_block_degrades_soundly_then_repairs() {
                         assert_eq!(o.quarantined, block_items, "{ctx}");
                         assert_sound(&oracle, &o, r, eps_m);
                     }
+                    assert_matches_fresh_context(&h, &format!("{ctx}, repaired"));
                 }
             }
         }
